@@ -1,6 +1,9 @@
 package chaos
 
 import (
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,13 +76,48 @@ func TestCorpusVaries(t *testing.T) {
 	}
 }
 
-// A prefix of the pinned corpus passes the four-way oracle (the full ≥64
-// run is the ./ci.sh chaos tier).
+// updatePinned regenerates testdata/pinned_digests.txt from the current
+// code: go test ./internal/chaos -run TestPinnedCorpusPrefix -update.
+var updatePinned = flag.Bool("update", false, "rewrite testdata/pinned_digests.txt")
+
+const pinnedDigests = "testdata/pinned_digests.txt"
+
+// The whole pinned corpus passes the four-way oracle, and every scenario's
+// output digest and virtual makespan match the recorded ones, so a change
+// that moves any scenario's result or schedule shows up as a one-line diff.
+// Grow-die scenarios record "-" for the makespan: their recovery cost is
+// discovery-order dependent (see Run), while the digest still pins outputs.
 func TestPinnedCorpusPrefix(t *testing.T) {
-	for _, sc := range Corpus(pinnedSeed, 8) {
+	var lines []string
+	for _, sc := range Corpus(pinnedSeed, 64) {
 		res := Run(sc)
 		if !res.Pass() {
 			t.Fatalf("%s failed: %s\nrepro: %s", sc, strings.Join(res.Failures, "; "), ReproCommand(sc))
+		}
+		makespan := fmt.Sprint(int64(res.Makespan))
+		if sc.GrowDie {
+			makespan = "-"
+		}
+		lines = append(lines, fmt.Sprintf("%016x %s %s", res.Digest, makespan, sc))
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *updatePinned {
+		if err := os.WriteFile(pinnedDigests, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(pinnedDigests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%s has %d lines, the corpus %d (regenerate with -update)", pinnedDigests, len(wantLines), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != wantLines[i] {
+			t.Errorf("pinned scenario drifted:\n got  %s\n want %s", lines[i], wantLines[i])
 		}
 	}
 }
