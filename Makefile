@@ -16,7 +16,7 @@ test:
 	go build ./... && go test ./...
 
 race:
-	go test -race ./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/hss ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos
+	go test -race ./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos
 
 # Run the sort service locally (see cmd/dhsortd for the API and flags):
 #   make serve ADDR=:8080

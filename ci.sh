@@ -22,7 +22,7 @@ set -eu
 # concurrent HTTP-driven jobs, now grown and shrunk in place by the
 # autoscaler), and the chaos harness (grow collectives racing seeded
 # message faults).
-RACE_PKGS="./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/hss ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos"
+RACE_PKGS="./internal/comm ./internal/rma ./internal/psort ./internal/sortutil ./internal/core ./internal/fault ./internal/store ./internal/server ./internal/api ./internal/chaos"
 
 echo "== gofmt"
 fmt_out=$(gofmt -l .)

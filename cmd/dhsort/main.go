@@ -19,8 +19,8 @@ import (
 	"dhsort"
 	"dhsort/internal/bitonic"
 	"dhsort/internal/comm"
+	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
 	"dhsort/internal/hyksort"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
@@ -166,9 +166,10 @@ func main() {
 				MemBudget: *budget, SpillDir: *spillD, SpillFanIn: *fanIn,
 			})
 		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
+			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
+				Splitter: core.SplitSampled, Seed: *seed,
 				Epsilon: *eps, Probes: *probes, Exchange: ex, VirtualScale: *scale, Threads: *thr, Recorder: rec,
-				Seed: *seed, Recovery: *rcv,
+				Recovery:  *rcv,
 				MemBudget: *budget, SpillDir: *spillD, SpillFanIn: *fanIn,
 			})
 		case "samplesort":

@@ -1,6 +1,7 @@
 package dhsort
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -42,7 +43,9 @@ func TestPublicNthElement(t *testing.T) {
 	for r := 0; r < p; r++ {
 		spec := workload.Spec{Dist: workload.Normal, Seed: 2, Span: 1e9}
 		raw, _ := spec.Rank(r, perRank)
-		locals[r] = workload.Floats(raw)
+		for _, k := range raw {
+			locals[r] = append(locals[r], (float64(k)/math.MaxUint64-0.5)*2e6)
+		}
 		all = append(all, locals[r]...)
 	}
 	sort.Float64s(all)

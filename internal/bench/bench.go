@@ -21,7 +21,6 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
 	"dhsort/internal/hyksort"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
@@ -144,7 +143,7 @@ func dhsortRMASorter(threads int) sorter {
 
 func hssSorter(threads int) sorter {
 	return sorter{"hss", func(c *comm.Comm, local []uint64, scale float64, rec *metrics.Recorder, seed uint64) ([]uint64, error) {
-		return hss.Sort(c, local, keys.Uint64{}, hss.Config{VirtualScale: scale, Threads: threads, Recorder: rec, Seed: seed})
+		return core.Sort(c, local, keys.Uint64{}, core.Config{Splitter: core.SplitSampled, Seed: seed, VirtualScale: scale, Threads: threads, Recorder: rec})
 	}}
 }
 

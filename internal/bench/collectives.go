@@ -7,7 +7,6 @@ import (
 
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
-	"dhsort/internal/hss"
 	"dhsort/internal/keys"
 	"dhsort/internal/simnet"
 	"dhsort/internal/sortutil"
@@ -128,8 +127,8 @@ func Splitters(o Options) error {
 				case "histogram":
 					core.FindSplitters(c, sorted, keys.Uint64{}, targets, 0, core.Config{Threads: 1})
 				case "sampled":
-					hss.FindSplittersSampled(c, sorted, keys.Uint64{}, targets, 0,
-						hss.Config{Seed: o.Seed, Threads: 1})
+					core.FindSplitters(c, sorted, keys.Uint64{}, targets, 0,
+						core.Config{Splitter: core.SplitSampled, Seed: o.Seed, Threads: 1})
 				case "selection":
 					if _, err := core.FindSplittersViaSelection(c, local, keys.Uint64{}, targets, core.Config{Threads: 1}); err != nil {
 						return err

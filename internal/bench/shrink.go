@@ -8,7 +8,6 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/simnet"
@@ -47,8 +46,9 @@ func runOnceResilient(alg string, p, perRank int, model *simnet.CostModel, scale
 				VirtualScale: scale, Threads: threads, Recorder: rec, Recovery: recovery,
 			})
 		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
-				VirtualScale: scale, Threads: threads, Recorder: rec, Recovery: recovery, Seed: spec.Seed,
+			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
+				Splitter: core.SplitSampled, Seed: spec.Seed,
+				VirtualScale: scale, Threads: threads, Recorder: rec, Recovery: recovery,
 			})
 		default:
 			return fmt.Errorf("no resilient path for algorithm %q", alg)

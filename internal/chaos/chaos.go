@@ -36,7 +36,6 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/core"
 	"dhsort/internal/fault"
-	"dhsort/internal/hss"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
 	"dhsort/internal/prng"
@@ -439,9 +438,10 @@ func execute(sc Scenario, st store.Store) (execution, error) {
 				MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
 			})
 		case "hss":
-			out, eff, err = hss.SortResilient(c, local, keys.Uint64{}, hss.Config{
+			out, eff, err = core.SortResilient(c, local, keys.Uint64{}, core.Config{
+				Splitter: core.SplitSampled, Seed: spec.Seed,
 				Epsilon: sc.Epsilon, Probes: sc.Probes, Threads: sc.Threads,
-				Recovery: sc.Recovery, Rebalance: sc.Rebalance, Seed: spec.Seed,
+				Recovery: sc.Recovery, Rebalance: sc.Rebalance,
 				Recorder:  rec,
 				MemBudget: sc.MemBudget, SpillFanIn: sc.SpillFanIn, Store: st,
 			})

@@ -37,7 +37,7 @@ const (
 	// its partitions directly into symmetric rma windows at
 	// exscan-computed target offsets and the receiver consumes
 	// notifications (the paper's DASH/DART put+notify substrate).  Only
-	// core.ExchangeAndMerge implements the put path, fused with its
+	// core's exchange superstep implements the put path, fused with its
 	// notify-driven merge; at the plain block-collective level (Alltoall,
 	// ExecutePlan) it degrades to the 1-factor schedule.
 	ExchangeRMAPut
@@ -80,7 +80,7 @@ func AlltoallWith[T any](c *Comm, blocks [][]T, alg AlltoallAlgorithm, byteScale
 	case AlltoallOneFactor, AlltoallHierarchical, ExchangeRMAPut:
 		// The hierarchical schedule needs a flat buffer and topology
 		// (AlltoallvHier), and the put path needs the fused merge of
-		// core.ExchangeAndMerge; at the block level both degrade to
+		// core's exchange superstep; at the block level both degrade to
 		// 1-factor.
 		return alltoallOneFactor(c, blocks, byteScale)
 	case AlltoallBruck:
@@ -262,11 +262,4 @@ func AlltoallvWith[T any](c *Comm, data []T, sendCounts []int, alg AlltoallAlgor
 		out = append(out, b...)
 	}
 	return out, recvCounts
-}
-
-// SendrecvScaled is Sendrecv with bulk-data byte pricing.
-func SendrecvScaled[T any](c *Comm, partner, tag int, send []T, byteScale float64) []T {
-	checkUserTag(tag)
-	sendSlice(c, partner, tag, send, byteScale)
-	return recvSlice[T](c, partner, tag)
 }

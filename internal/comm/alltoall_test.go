@@ -165,83 +165,3 @@ func TestAlltoallAutoMatchesManual(t *testing.T) {
 		return nil
 	})
 }
-
-func TestSendrecv(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		partner := c.Rank() ^ 1
-		got := Sendrecv(c, partner, 3, []int{c.Rank()})
-		if len(got) != 1 || got[0] != partner {
-			t.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-func TestScan(t *testing.T) {
-	for _, p := range []int{1, 2, 5, 9} {
-		run(t, p, func(c *Comm) error {
-			got := Scan(c, c.Rank()+1, func(a, b int) int { return a + b })
-			want := (c.Rank() + 1) * (c.Rank() + 2) / 2
-			if got != want {
-				t.Errorf("p=%d rank=%d: scan = %d, want %d", p, c.Rank(), got, want)
-			}
-			return nil
-		})
-	}
-}
-
-func TestReduceScatter(t *testing.T) {
-	for _, p := range []int{1, 3, 4, 7} {
-		run(t, p, func(c *Comm) error {
-			// counts[i] = i+1; vector length = p(p+1)/2.
-			counts := make([]int, p)
-			n := 0
-			for i := range counts {
-				counts[i] = i + 1
-				n += i + 1
-			}
-			data := make([]int, n)
-			for i := range data {
-				data[i] = i + c.Rank() // sums to p*i + p(p-1)/2
-			}
-			got := ReduceScatter(c, data, counts, func(a, b int) int { return a + b })
-			if len(got) != c.Rank()+1 {
-				t.Fatalf("p=%d rank=%d: block size %d", p, c.Rank(), len(got))
-			}
-			off := c.Rank() * (c.Rank() + 1) / 2
-			for k, v := range got {
-				want := p*(off+k) + p*(p-1)/2
-				if v != want {
-					t.Errorf("p=%d rank=%d: got[%d] = %d, want %d", p, c.Rank(), k, v, want)
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestMinMaxLoc(t *testing.T) {
-	run(t, 7, func(c *Comm) error {
-		v := (c.Rank()*3 + 2) % 7 // values 2,5,1,4,0,3,6 for ranks 0..6
-		less := func(a, b int) bool { return a < b }
-		minV, minR := MinLoc(c, v, less)
-		if minV != 0 || minR != 4 {
-			t.Errorf("MinLoc = (%d,%d)", minV, minR)
-		}
-		maxV, maxR := MaxLoc(c, v, less)
-		if maxV != 6 || maxR != 6 {
-			t.Errorf("MaxLoc = (%d,%d)", maxV, maxR)
-		}
-		return nil
-	})
-}
-
-func TestMinLocTieBreaksLowestRank(t *testing.T) {
-	run(t, 5, func(c *Comm) error {
-		_, r := MinLoc(c, 7, func(a, b int) bool { return a < b })
-		if r != 0 {
-			t.Errorf("tie must resolve to rank 0, got %d", r)
-		}
-		return nil
-	})
-}

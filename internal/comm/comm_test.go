@@ -42,7 +42,7 @@ func TestPointToPoint(t *testing.T) {
 		// Ring: send rank to the right, receive from the left.
 		next := (c.Rank() + 1) % c.Size()
 		prev := (c.Rank() - 1 + c.Size()) % c.Size()
-		Send(c, next, 7, []int{c.Rank(), c.Rank() * 10})
+		SendScaled(c, next, 7, []int{c.Rank(), c.Rank() * 10}, 1)
 		got := Recv[int](c, prev, 7)
 		if len(got) != 2 || got[0] != prev || got[1] != prev*10 {
 			t.Errorf("rank %d received %v from %d", c.Rank(), got, prev)
@@ -55,9 +55,9 @@ func TestSendCopiesData(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []int{1, 2, 3}
-			Send(c, 1, 0, buf)
+			SendScaled(c, 1, 0, buf, 1)
 			buf[0] = 99 // mutation after send must not be visible
-			Send(c, 1, 1, buf)
+			SendScaled(c, 1, 1, buf, 1)
 		} else {
 			first := Recv[int](c, 0, 0)
 			second := Recv[int](c, 0, 1)
@@ -75,8 +75,8 @@ func TestSendCopiesData(t *testing.T) {
 func TestTagMatchingOutOfOrder(t *testing.T) {
 	run(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			Send(c, 1, 5, []byte("five"))
-			Send(c, 1, 3, []byte("three"))
+			SendScaled(c, 1, 5, []byte("five"), 1)
+			SendScaled(c, 1, 3, []byte("three"), 1)
 		} else {
 			// Receive in the opposite order of sending.
 			three := Recv[byte](c, 0, 3)
@@ -94,7 +94,7 @@ func TestFIFOPerTag(t *testing.T) {
 		const n = 50
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				Send(c, 1, 0, []int{i})
+				SendScaled(c, 1, 0, []int{i}, 1)
 			}
 		} else {
 			for i := 0; i < n; i++ {
@@ -107,43 +107,11 @@ func TestFIFOPerTag(t *testing.T) {
 	})
 }
 
-func TestRecvAny(t *testing.T) {
-	run(t, 4, func(c *Comm) error {
-		if c.Rank() == 0 {
-			seen := make(map[int]bool)
-			for i := 1; i < 4; i++ {
-				data, src := RecvAny[int](c, 9)
-				if data[0] != src*100 {
-					t.Errorf("payload %d does not match source %d", data[0], src)
-				}
-				seen[src] = true
-			}
-			if len(seen) != 3 {
-				t.Errorf("expected 3 distinct sources, saw %v", seen)
-			}
-		} else {
-			Send(c, 0, 9, []int{c.Rank() * 100})
-		}
-		return nil
-	})
-}
-
-func TestSendRecvOne(t *testing.T) {
-	run(t, 2, func(c *Comm) error {
-		if c.Rank() == 0 {
-			SendOne(c, 1, 0, "hello")
-		} else if got := RecvOne[string](c, 0, 0); got != "hello" {
-			t.Errorf("got %q", got)
-		}
-		return nil
-	})
-}
-
 func TestNegativeUserTagPanics(t *testing.T) {
 	err := func() (err error) {
 		w, _ := NewWorld(1, nil)
 		return w.Run(func(c *Comm) error {
-			Send(c, 0, -1, []int{1})
+			SendScaled(c, 0, -1, []int{1}, 1)
 			return nil
 		})
 	}()
@@ -557,8 +525,8 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	err = w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			Send(c, 1, 0, make([]uint64, 100)) // same node: 800 bytes
-			Send(c, 2, 0, make([]uint64, 10))  // cross node: 80 bytes
+			SendScaled(c, 1, 0, make([]uint64, 100), 1) // same node: 800 bytes
+			SendScaled(c, 2, 0, make([]uint64, 10), 1)  // cross node: 80 bytes
 		}
 		if c.Rank() == 1 || c.Rank() == 2 {
 			Recv[uint64](c, 0, 0)

@@ -48,7 +48,7 @@ func TestFaultyTransportFIFO(t *testing.T) {
 					if dst == c.Rank() {
 						continue
 					}
-					SendOne(c, dst, i%2, c.Rank()*msgs+i)
+					SendScaled(c, dst, i%2, []int{c.Rank()*msgs + i}, 1)
 				}
 			}
 			for src := 0; src < c.Size(); src++ {
@@ -56,7 +56,7 @@ func TestFaultyTransportFIFO(t *testing.T) {
 					continue
 				}
 				for i := 0; i < msgs; i++ {
-					got := RecvOne[int](c, src, i%2)
+					got := Recv[int](c, src, i%2)[0]
 					// Per-(src, tag) flows are FIFO: on tag i%2 the i-th
 					// receive must be the i-th send.
 					if got != src*msgs+i {
@@ -91,8 +91,8 @@ func TestFaultyTransportDeterminism(t *testing.T) {
 			for i := 0; i < 32; i++ {
 				next := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() + c.Size() - 1) % c.Size()
-				SendOne(c, next, 3, c.Rank()+i)
-				if got := RecvOne[int](c, prev, 3); got != prev+i {
+				SendScaled(c, next, 3, []int{c.Rank() + i}, 1)
+				if got := Recv[int](c, prev, 3)[0]; got != prev+i {
 					t.Errorf("rank %d: got %d want %d", c.Rank(), got, prev+i)
 				}
 				v := AllreduceOne(c, i, func(a, b int) int { return a + b })
@@ -122,8 +122,8 @@ func TestSelfLinksExemptFromInjection(t *testing.T) {
 	plan.DropRate = 0.5
 	w := runFaults(t, 4, simnet.SuperMUC(4, true), plan, func(c *Comm) error {
 		for i := 0; i < 100; i++ {
-			SendOne(c, c.Rank(), 9, i)
-			if got := RecvOne[int](c, c.Rank(), 9); got != i {
+			SendScaled(c, c.Rank(), 9, []int{i}, 1)
+			if got := Recv[int](c, c.Rank(), 9)[0]; got != i {
 				t.Errorf("rank %d: self-delivery %d want %d", c.Rank(), got, i)
 			}
 		}
@@ -176,7 +176,7 @@ func TestWatchdogDetectsDeadSender(t *testing.T) {
 	}
 	err = w.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			RecvOne[int](c, 1, 4) // rank 1 never sends
+			Recv[int](c, 1, 4) // rank 1 never sends
 		}
 		return nil
 	})
@@ -228,8 +228,8 @@ func TestFaultObserverReceivesEvents(t *testing.T) {
 		counts[c.Rank()] = mine
 		c.SetFaultObserver(func(e fault.Event) { mine[e.Kind]++ })
 		for i := 0; i < 200; i++ {
-			SendOne(c, 1-c.Rank(), 0, i)
-			RecvOne[int](c, 1-c.Rank(), 0)
+			SendScaled(c, 1-c.Rank(), 0, []int{i}, 1)
+			Recv[int](c, 1-c.Rank(), 0)
 		}
 		return nil
 	})

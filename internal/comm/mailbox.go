@@ -13,7 +13,7 @@ const AnySource = -1
 // UserTagLimit bounds the application tag space: user point-to-point tags
 // must lie in [0, UserTagLimit).  Tags at or above the limit are reserved
 // for library-internal protocols — the fused exchange of
-// core.ExchangeAndMerge uses [UserTagLimit, UserTagLimit+P) for its
+// core's sort uses [UserTagLimit, UserTagLimit+P) for its
 // 1-factor rounds, and rma windows draw notification tags from
 // Comm.ReserveProtocolTag — so a colliding user tag would silently corrupt
 // those protocols.  The Send/Recv family panics on reserved tags instead.

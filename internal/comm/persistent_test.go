@@ -170,7 +170,7 @@ func TestPersistentWorldTagIsolation(t *testing.T) {
 		if err := pw.Execute(func(c *Comm) error {
 			// Ring shift on a fixed tag; payload encodes the job index.
 			next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
-			Send(c, next, 7, []int{job*100 + c.Rank()})
+			SendScaled(c, next, 7, []int{job*100 + c.Rank()}, 1)
 			got := Recv[int](c, prev, 7)
 			if want := job*100 + prev; len(got) != 1 || got[0] != want {
 				return fmt.Errorf("rank %d job %d: got %v, want [%d]", c.Rank(), job, got, want)

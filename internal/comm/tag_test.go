@@ -36,16 +36,13 @@ func TestUserTagGuard(t *testing.T) {
 			return nil
 		}
 		for _, tag := range []int{UserTagLimit, UserTagLimit + 5, 1 << 40} {
-			msg := mustPanic(t, "Send on a reserved tag", func() { Send(c, 1, tag, []int{1}) })
+			msg := mustPanic(t, "SendScaled on a reserved tag", func() { SendScaled(c, 1, tag, []int{1}, 1) })
 			if !strings.Contains(msg, "reserved") || !strings.Contains(msg, "UserTagLimit") {
 				t.Errorf("tag %d: panic message %q does not explain the reserved space", tag, msg)
 			}
 		}
-		mustPanic(t, "Send on a negative tag", func() { Send(c, 1, -1, []int{1}) })
-		mustPanic(t, "SendOne on a reserved tag", func() { SendOne(c, 1, UserTagLimit, 1) })
+		mustPanic(t, "SendScaled on a negative tag", func() { SendScaled(c, 1, -1, []int{1}, 1) })
 		mustPanic(t, "Recv on a reserved tag", func() { Recv[int](c, 1, UserTagLimit) })
-		mustPanic(t, "RecvAny on a reserved tag", func() { RecvAny[int](c, UserTagLimit+1) })
-		mustPanic(t, "Sendrecv on a reserved tag", func() { Sendrecv(c, 1, UserTagLimit, []int{1}) })
 
 		// The inverse guard: the protocol-side primitive refuses user tags,
 		// so library plumbing cannot accidentally collide with applications.
@@ -66,7 +63,7 @@ func TestUserTagGuard(t *testing.T) {
 	}
 	err = w2.Run(func(c *Comm) error {
 		if c.Rank() == 0 {
-			Send(c, 1, UserTagLimit-1, []int{42})
+			SendScaled(c, 1, UserTagLimit-1, []int{42}, 1)
 		} else {
 			if got := Recv[int](c, 0, UserTagLimit-1); got[0] != 42 {
 				t.Errorf("boundary-tag payload %v", got)

@@ -25,16 +25,12 @@ func checkUserTag(tag int) {
 	}
 }
 
-// Send delivers a copy of data to dst under the given tag (tag in
-// [0, UserTagLimit)).  Sends are eager: they buffer at the receiver and
+// SendScaled delivers a copy of data to dst under the given tag (tag in
+// [0, UserTagLimit)), with the payload priced at byteScale times its real
+// size in the network cost model — byteScale > 1 when experiments execute
+// on reduced data that stands in for a paper-scale volume
+// (Config.VirtualScale).  Sends are eager: they buffer at the receiver and
 // never block.
-func Send[T any](c *Comm, dst, tag int, data []T) {
-	SendScaled(c, dst, tag, data, 1)
-}
-
-// SendScaled is Send with the payload priced at byteScale times its real
-// size in the network cost model — used when experiments execute on reduced
-// data that stands in for a paper-scale volume (Config.VirtualScale).
 func SendScaled[T any](c *Comm, dst, tag int, data []T, byteScale float64) {
 	checkUserTag(tag)
 	sendSlice(c, dst, tag, data, byteScale)
@@ -45,26 +41,6 @@ func SendScaled[T any](c *Comm, dst, tag int, data []T, byteScale float64) {
 func Recv[T any](c *Comm, src, tag int) []T {
 	checkUserTag(tag)
 	return c.recv(src, tag).payload.([]T)
-}
-
-// RecvAny blocks for a message from any source under tag and returns the
-// payload together with the sender's rank.
-func RecvAny[T any](c *Comm, tag int) ([]T, int) {
-	checkUserTag(tag)
-	e := c.recv(AnySource, tag)
-	return e.payload.([]T), e.src
-}
-
-// SendOne delivers a single value to dst under tag.
-func SendOne[T any](c *Comm, dst, tag int, v T) {
-	checkUserTag(tag)
-	c.send(dst, tag, v, elemBytes[T](), 1)
-}
-
-// RecvOne blocks for a single value from src (or AnySource) under tag.
-func RecvOne[T any](c *Comm, src, tag int) T {
-	checkUserTag(tag)
-	return c.recv(src, tag).payload.(T)
 }
 
 // sendSlice copies data (senders may reuse their buffers immediately, and

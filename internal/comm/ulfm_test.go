@@ -51,7 +51,7 @@ func TestDieUnwindsBlockedReceiver(t *testing.T) {
 		if c.Rank() == 1 {
 			c.Die() // never returns
 		}
-		rerr := Try(func() { RecvOne[int](c, 1, 5) })
+		rerr := Try(func() { Recv[int](c, 1, 5) })
 		if !errors.Is(rerr, ErrRankDead) {
 			t.Errorf("blocked receive from a dead rank must raise ErrRankDead, got: %v", rerr)
 		}

@@ -64,6 +64,28 @@ func (m MergeStrategy) String() string {
 	return fmt.Sprintf("MergeStrategy(%d)", int(m))
 }
 
+// SplitterFinder selects how the Splitting superstep determines the
+// splitters.  Both finders refine probes by iterative global histogramming
+// over the locally sorted partitions; they differ only in probe placement.
+type SplitterFinder int
+
+const (
+	// SplitBisection is the paper's refinement (§V-A): probes bisect (or,
+	// with Config.Probes > 1, evenly divide) each splitter's interval in
+	// the embedded key space, converging within the key width.
+	SplitBisection SplitterFinder = iota
+	// SplitSampled is Histogram Sort with Sampling (HSS; Harsh, Kale and
+	// Solomonik, SPAA'19), the Charm++ algorithm of the paper's Figs. 2-3:
+	// quantiles of a gathered random sample (sampledOversampling keys per
+	// rank, drawn from Config.Seed) seed the probes, and failed probes are
+	// re-aimed by linearly interpolating the target rank between the
+	// current histogram bounds.  Uniform keys converge in a few rounds;
+	// on skewed keys the interpolation assumption breaks and convergence
+	// turns volatile, as the paper observed (§VI-B/C).  Config.Warm and
+	// Config.SplitterSink apply to bisection only.
+	SplitSampled
+)
+
 // Config tunes a distributed sort.  The zero value is a valid configuration:
 // perfect partitioning, re-sort merging, automatic exchange schedule.
 type Config struct {
@@ -107,8 +129,18 @@ type Config struct {
 
 	// MaxIterations bounds splitter refinement as a safety net.  The
 	// bisection converges within the key width (≤ 128 with the
-	// uniqueness transformation); 0 means that bound.
+	// uniqueness transformation); 0 means that bound.  The sampled finder
+	// has no such bound and defaults to 512 rounds; when the cap is hit
+	// the current interval tops are accepted, so balance may then exceed
+	// Epsilon (see Rebalance).
 	MaxIterations int
+
+	// Splitter selects the splitter finder: the zero value is the paper's
+	// bisection, SplitSampled is HSS.
+	Splitter SplitterFinder
+
+	// Seed drives the sampled finder's random sample; bisection ignores it.
+	Seed uint64
 
 	// Kernel forces a specific Local Sort kernel instead of the automatic
 	// dispatch: KernelRadix, KernelTaskMerge or KernelIntrosort.  Empty
@@ -284,10 +316,13 @@ func (cfg Config) durableStore() store.Store {
 
 // maxIters returns the effective iteration bound.
 func (cfg Config) maxIters() int {
-	if cfg.MaxIterations <= 0 {
-		return 130 // 128-bit embedding + slack
+	switch {
+	case cfg.MaxIterations > 0:
+		return cfg.MaxIterations
+	case cfg.Splitter == SplitSampled:
+		return 512
 	}
-	return cfg.MaxIterations
+	return 130 // 128-bit embedding + slack
 }
 
 // validate rejects nonsensical configurations.
@@ -297,6 +332,9 @@ func (cfg Config) validate() error {
 	}
 	if cfg.Merge < MergeResort || cfg.Merge > MergeOverlap {
 		return fmt.Errorf("core: unknown merge strategy %d", int(cfg.Merge))
+	}
+	if cfg.Splitter < SplitBisection || cfg.Splitter > SplitSampled {
+		return fmt.Errorf("core: unknown splitter finder %d", int(cfg.Splitter))
 	}
 	if cfg.Exchange < comm.AlltoallAuto || cfg.Exchange > comm.ExchangeRMAPut {
 		return fmt.Errorf("core: unknown exchange algorithm %d", int(cfg.Exchange))

@@ -163,7 +163,7 @@ func TestDSelectFloatKeys(t *testing.T) {
 	for r := 0; r < p; r++ {
 		spec := workload.Spec{Dist: workload.Normal, Seed: 31, Span: 1e9}
 		raw, _ := spec.Rank(r, 900)
-		locals[r] = workload.Floats(raw)
+		locals[r] = floatKeys(raw)
 		all = append(all, locals[r]...)
 	}
 	sort.Float64s(all)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
@@ -116,51 +114,30 @@ func computeCutsOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], sp
 	return cuts
 }
 
-// ExchangeAndMerge performs the single ALLTOALLV data exchange (§V-B) and
-// the Local Merge superstep (§V-C), returning the rank's final sorted
-// partition.
-func ExchangeAndMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config) []K {
-	return ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, nil)
-}
-
-// ExchangeAndMergeArena is ExchangeAndMerge drawing Local Merge scratch
-// from ar, the per-rank arena the Local Sort superstep already paid for
-// (nil means allocate).
-func ExchangeAndMergeArena[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], cuts []int, cfg Config, ar *sortutil.Arena[K]) []K {
-	p := c.Size()
-	model := c.Model()
-	scale := cfg.scale()
-	threads := cfg.threads()
-
-	sendCounts := make([]int, p)
+// exchangeCounts returns the per-destination send counts of the cut
+// partition and records this rank's outgoing exchange volume.
+func exchangeCounts[K any](c *comm.Comm, ops keys.Ops[K], cuts []int, cfg Config) []int {
+	sendCounts := make([]int, c.Size())
 	var outBytes int64
-	for d := 0; d < p; d++ {
+	for d := range sendCounts {
 		sendCounts[d] = cuts[d+1] - cuts[d]
 		if d != c.Rank() {
 			outBytes += int64(sendCounts[d]) * int64(ops.Bytes())
 		}
 	}
-	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * scale))
+	cfg.Recorder.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
+	return sendCounts
+}
 
-	// Budgeted configurations run the fused 1-factor schedule with receive
-	// chunks spilled to store runs, so the exchange buffers never accumulate
-	// beyond one chunk.  The caller holds sorted resident (the external
-	// local-sort path issues the identical wire pattern via its own driver);
-	// the schedule must be uniform across the collective, and spillActive is
-	// a function of the shared Config and Ops only.
-	if spillActive(cfg, ops) {
-		cfg.Recorder.SetExchangeAlg("fused-1factor")
-		plan := newSpillPlan(c, ops, cfg)
-		seg := func(lo, hi int) []K { return sorted[lo:hi] }
-		out, err := spilledExchangeMerge[K](c, seg, ops, sendCounts, cfg, plan)
-		if err != nil {
-			// Store failures here are host I/O faults (disk full, scratch
-			// dir removed), not simulated faults the resilience layer
-			// understands; surface them loudly.
-			panic(fmt.Errorf("core: spilled exchange: %w", err))
-		}
-		return out
-	}
+// exchangeAndMerge performs the single ALLTOALLV data exchange (§V-B) and
+// the Local Merge superstep (§V-C) of the resident path, returning the
+// rank's final sorted partition.  Local Merge scratch comes from ar, the
+// per-rank arena the Local Sort superstep already paid for.
+func exchangeAndMerge[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], sendCounts []int, cfg Config, ar *sortutil.Arena[K]) []K {
+	p := c.Size()
+	model := c.Model()
+	scale := cfg.scale()
+	threads := cfg.threads()
 
 	// The one-sided path subsumes MergeOverlap: its notify-driven merge is
 	// inherently fused, so it takes precedence over the merge strategy.

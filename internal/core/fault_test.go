@@ -66,14 +66,19 @@ func acceptancePlan(p int) fault.Plan {
 
 // TestSortSurvivesFaultSchedule is the acceptance test of the fault plane:
 // at a 5% seeded drop rate with two injected crashes, a P=16 sort must
-// produce output bit-identical to the fault-free run of the same workload.
+// produce output bit-identical to the fault-free run of the same workload,
+// with either splitter finder.
 func TestSortSurvivesFaultSchedule(t *testing.T) {
+	forEachFinder(t, Config{Threads: 1}, testSortSurvivesFaultSchedule)
+}
+
+func testSortSurvivesFaultSchedule(t *testing.T, cfg Config) {
 	const p, perRank = 16, 2048
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
 
-	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, model)
-	ins, got, w, recs := runSortFaults(t, p, spec, perRank, Config{Threads: 1}, model, acceptancePlan(p))
+	_, want := runSort(t, p, spec, perRank, cfg, model)
+	ins, got, w, recs := runSortFaults(t, p, spec, perRank, cfg, model, acceptancePlan(p))
 	checkSorted(t, ins, got, true, 0)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("faulty run's output differs from the fault-free run")
@@ -190,7 +195,7 @@ func TestHierarchicalFallbackUnderDelay(t *testing.T) {
 // TestCheckpointChecksumDetectsCorruption pins the restore audit: a snapshot
 // whose checksum no longer matches must abort loudly, not sort wrong data.
 func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
-	ck := &Checkpoint[uint64]{}
+	ck := &checkpoint[uint64]{}
 	sorted := []uint64{3, 1, 4, 1, 5}
 	ck.step = StepLocalSort
 	ck.sorted = append(ck.sorted[:0], sorted...)

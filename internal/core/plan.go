@@ -56,18 +56,7 @@ func MakePlan[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) (Plan
 		c.Clock().Advance(model.SortCost(int(float64(len(local)) * cfg.scale())))
 	}
 
-	capacities := comm.AllgatherOne(c, int64(len(local)))
-	targets := make([]int64, p-1)
-	var totalN, acc int64
-	for _, n := range capacities {
-		totalN += n
-	}
-	for i := 0; i < p-1; i++ {
-		acc += capacities[i]
-		targets[i] = acc
-	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
-
+	targets, tol := splitTargets(c, len(local), cfg.Epsilon)
 	splitters, iters := FindSplitters(c, sorted, ops, targets, tol, cfg)
 	cuts := ComputeCuts(c, sorted, ops, splitters, targets, cfg)
 	counts := make([]int, p)

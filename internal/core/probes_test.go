@@ -60,7 +60,11 @@ func refineSetup(t *testing.T, p, perRank int, spec workload.Spec, cfg Config) (
 
 func TestSortCorrectAcrossProbeCounts(t *testing.T) {
 	// End-to-end: every probe count must produce the identical perfect
-	// partition the bisection produces.
+	// partition the bisection produces, with either finder.
+	forEachFinder(t, Config{}, testSortCorrectAcrossProbeCounts)
+}
+
+func testSortCorrectAcrossProbeCounts(t *testing.T, base Config) {
 	for _, probes := range []int{0, 2, 4, 8, 16, 64} {
 		spec := workload.Spec{Dist: workload.Zipf, Seed: 77, Span: 1e9}
 		p, perRank := 7, 300
@@ -70,7 +74,9 @@ func TestSortCorrectAcrossProbeCounts(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			out, err := Sort(c, local, keys.Uint64{}, Config{Probes: probes})
+			cfg := base
+			cfg.Probes = probes
+			out, err := Sort(c, local, keys.Uint64{}, cfg)
 			if err != nil {
 				return err
 			}

@@ -63,13 +63,17 @@ func runSortShrink(t *testing.T, p int, spec workload.Spec, perRank int, cfg Con
 // P=16 sort with rank 3 dying permanently at the first boundary and
 // Recovery == "shrink" must complete on the 15 survivors with a globally
 // sorted, loss-free (multiset-identical) output — the dead rank's elements
-// adopted from its ring-mirrored checkpoint shard.
+// adopted from its ring-mirrored checkpoint shard — with either splitter
+// finder.
 func TestSortShrinkRecovery(t *testing.T) {
+	forEachFinder(t, Config{Threads: 1, Recovery: RecoveryShrink}, testSortShrinkRecovery)
+}
+
+func testSortShrinkRecovery(t *testing.T, cfg Config) {
 	const p, perRank = 16, 2048
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
 	plan := fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 3, Step: StepLocalSort}}}
-	cfg := Config{Threads: 1, Recovery: RecoveryShrink}
 
 	ins, outs, _, recs, effSizes, err := runSortShrink(t, p, spec, perRank, cfg, model, plan)
 	if err != nil {
@@ -278,8 +282,8 @@ func TestCheckpointCorruptFallsBackToMirror(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = w.Run(func(c *comm.Comm) error {
-		mk := func() *Checkpoint[uint64] {
-			ck := &Checkpoint[uint64]{step: StepLocalSort}
+		mk := func() *checkpoint[uint64] {
+			ck := &checkpoint[uint64]{step: StepLocalSort}
 			ck.sorted = []uint64{1, 1, 2, 3, 5, 8}
 			ck.sum = ck.checksum(u64)
 			ck.sent = ckptShard[uint64]{

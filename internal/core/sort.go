@@ -69,13 +69,13 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 		var (
 			out     []K
 			sortErr error
-			ck      *Checkpoint[K]
+			ck      *checkpoint[K]
 		)
 		// A failure surfaces either as the boundary detector's error return
 		// (the deterministic path) or, for asynchronous detection deep in a
 		// collective, as the typed panic Try converts.
 		err := comm.Try(func() {
-			ck = &Checkpoint[K]{}
+			ck = &checkpoint[K]{}
 			out, sortErr = sortSteps[K](eff, work, ops, cfg, ck)
 		})
 		if err == nil {
@@ -88,7 +88,7 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 		if !errors.As(err, &fe) {
 			return nil, eff, err
 		}
-		next, adopted, rerr := ShrinkRecover[K](eff, ck, fe, cfg.Recorder)
+		next, adopted, rerr := shrinkRecover[K](eff, ck, fe, cfg.Recorder)
 		if rerr != nil {
 			return nil, eff, rerr
 		}
@@ -102,7 +102,7 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 	}
 }
 
-// ShrinkRecover is one survivor's pass through the ULFM recipe after a
+// shrinkRecover is one survivor's pass through the ULFM recipe after a
 // failure unwound the supersteps: revoke the communicator so every peer
 // unwinds too, agree on the survivor bitmap, audit that every victim's
 // mirrored shard has a surviving holder, adopt the dead predecessor's
@@ -112,10 +112,8 @@ func sortResilient[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) 
 // suspicion fed to Agree is derived from the death schedule, giving every
 // survivor an identical view even before the victims' registrations land.
 // It returns the shrunken communicator and the elements adopted from the
-// dead predecessor (nil when this rank adopted nothing).  Exported for
-// sibling sorters (hss) that run their own superstep loops over core's
-// checkpoints.
-func ShrinkRecover[K any](eff *comm.Comm, ck *Checkpoint[K], fe *comm.FailureError, rec *metrics.Recorder) (*comm.Comm, []K, error) {
+// dead predecessor (nil when this rank adopted nothing).
+func shrinkRecover[K any](eff *comm.Comm, ck *checkpoint[K], fe *comm.FailureError, rec *metrics.Recorder) (*comm.Comm, []K, error) {
 	start := eff.Clock().Now()
 	eff.Revoke()
 	var suspect []bool
@@ -180,77 +178,101 @@ func ShrinkRecover[K any](eff *comm.Comm, ck *Checkpoint[K], fe *comm.FailureErr
 func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K, error) {
 	// Fault-injecting worlds checkpoint at every superstep boundary so a
 	// crashed-and-respawned rank re-enters from its snapshot; ck stays nil
-	// (and Boundary a no-op) on the fault-free fast path.
-	var ck *Checkpoint[K]
+	// (and boundary a no-op) on the fault-free fast path.
+	var ck *checkpoint[K]
 	if c.FaultInjector() != nil {
-		ck = &Checkpoint[K]{}
+		ck = &checkpoint[K]{}
 	}
 	return sortSteps[K](c, local, ops, cfg, ck)
 }
 
-// sortSteps runs the four supersteps of §V.
-func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *Checkpoint[K]) ([]K, error) {
-	// Budgeted configurations take the external-memory path collectively:
-	// spillActive depends only on the shared Config and the key type, so
-	// every rank agrees, keeping the fused exchange schedule consistent.
-	if spillActive(cfg, ops) {
-		return sortStepsSpilled[K](c, local, ops, cfg, ck)
-	}
+// sortSteps runs the four supersteps of §V.  Only the Local Sort and the
+// exchange branch on the partition's backing: a resident slice, or — for
+// budgeted configurations — a sealed store run whose search supersteps go
+// through a block cache.  The collective operations, their payload sizes
+// and the cost-model calls are the same for both backings; the store is a
+// host-side execution strategy the virtual clock never sees.
+func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *checkpoint[K]) ([]K, error) {
 	p := c.Size()
-	model := c.Model()
-	scale := cfg.scale()
 	rec := cfg.Recorder
-	threads := cfg.threads()
 
-	// Superstep 1: Local Sort, through the kernel dispatch.  The arena is
-	// this rank's scratch for the whole run: the Local Merge superstep
-	// reuses the same buffers.
+	// Superstep 1: Local Sort.  Budgeted configurations spill
+	// collectively: spillActive depends only on the shared Config and the
+	// key type, so every rank agrees, keeping the fused exchange schedule
+	// consistent.  The resident arena is this rank's scratch for the whole
+	// run: the Local Merge superstep reuses the same buffers.
 	rec.Enter(metrics.LocalSort)
-	ar := &sortutil.Arena[K]{}
-	sorted := make([]K, len(local))
-	copy(sorted, local)
-	kernel, passes := LocalSortKernel(sorted, ops, cfg.Kernel, threads, ar)
-	rec.SetLocalSort(kernel, threads)
-	if model != nil {
-		c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(sorted))*scale), passes, threads))
+	var (
+		sorted []K
+		part   *extPartition[K]
+		plan   *spillPlan[K]
+		ar     *sortutil.Arena[K]
+	)
+	if spillActive(cfg, ops) {
+		plan = newSpillPlan(c, ops, cfg)
+		var err error
+		if part, err = extSortLocal(c, local, ops, cfg, plan); err != nil {
+			return nil, err
+		}
+		defer part.Close()
+	} else {
+		ar = &sortutil.Arena[K]{}
+		sorted = make([]K, len(local))
+		copy(sorted, local)
+		threads := cfg.threads()
+		kernel, passes := LocalSortKernel(sorted, ops, cfg.Kernel, threads, ar)
+		rec.SetLocalSort(kernel, threads)
+		if model := c.Model(); model != nil {
+			c.Clock().Advance(LocalSortCost(model, kernel, int(float64(len(sorted))*cfg.scale()), passes, threads))
+		}
+	}
+	// source is the live partition; a crash restore may replace sorted.
+	source := func() sortedSource[K] {
+		if part != nil {
+			return part
+		}
+		return memSource[K]{s: sorted, ops: ops}
 	}
 	if p == 1 {
+		if part != nil {
+			sorted = part.materialize()
+		}
 		rec.Finish()
 		return sorted, nil
 	}
-	if err := ck.Boundary(c, ops, cfg, StepLocalSort, &sorted, nil, nil); err != nil {
+	var splitters []K
+	var cuts []int
+	if err := ck.boundary(c, ops, cfg, StepLocalSort, &sorted, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
-	// Superstep 2: Splitting.  Targets are the capacity prefix sums of
-	// Definition 3; the tolerance comes from Definition 1.
+	// Superstep 2: Splitting.
 	rec.Enter(metrics.Other)
-	capacities := comm.AllgatherOne(c, int64(len(local)))
-	targets := make([]int64, p-1)
-	var totalN, acc int64
-	for _, n := range capacities {
-		totalN += n
-	}
-	for i := 0; i < p-1; i++ {
-		acc += capacities[i]
-		targets[i] = acc
-	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
-
+	targets, tol := splitTargets(c, len(local), cfg.Epsilon)
 	rec.Enter(metrics.Histogram)
-	splitters, _ := FindSplitters(c, sorted, ops, targets, tol, cfg)
-	if err := ck.Boundary(c, ops, cfg, StepSplitting, &sorted, &splitters, nil); err != nil {
+	splitters, _ = findSplittersOn(c, source(), ops, targets, tol, cfg)
+	if err := ck.boundary(c, ops, cfg, StepSplitting, &sorted, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
-	// Superstep 3: Data Exchange (permutation matrix + ALLTOALLV).
+	// Superstep 3: Data Exchange (permutation matrix + ALLTOALLV, or the
+	// fused 1-factor rounds into spilled receive runs).
 	rec.Enter(metrics.Other)
-	cuts := ComputeCuts(c, sorted, ops, splitters, targets, cfg)
-	if err := ck.Boundary(c, ops, cfg, StepCuts, &sorted, &splitters, &cuts); err != nil {
+	cuts = computeCutsOn(c, source(), ops, splitters, targets, cfg)
+	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, plan, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 	rec.Enter(metrics.Exchange)
-	out := ExchangeAndMergeArena(c, sorted, ops, cuts, cfg, ar) // enters Merge internally
+	sendCounts := exchangeCounts(c, ops, cuts, cfg)
+	var out []K
+	if part != nil {
+		var err error
+		if out, err = spilledExchangeMerge(c, part, ops, sendCounts, cfg, plan); err != nil {
+			return nil, err
+		}
+	} else {
+		out = exchangeAndMerge(c, sorted, ops, sendCounts, cfg, ar) // enters Merge internally
+	}
 	if cfg.Rebalance {
 		rec.Enter(metrics.Other)
 		out = RebalanceOutput(c, out, ops, cfg)

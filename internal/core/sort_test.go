@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -91,14 +92,26 @@ func checkSorted(t *testing.T, ins, outs [][]uint64, perfect bool, epsilon float
 	}
 }
 
+// forEachFinder runs fn as one subtest per splitter finder, on base with
+// the finder set: the sort contract holds for bisection and HSS alike.
+func forEachFinder(t *testing.T, base Config, fn func(t *testing.T, cfg Config)) {
+	t.Helper()
+	t.Run("bisection", func(t *testing.T) { fn(t, base) })
+	sampled := base
+	sampled.Splitter, sampled.Seed = SplitSampled, 21
+	t.Run("sampled", func(t *testing.T) { fn(t, sampled) })
+}
+
 func TestSortAllDistributionsAndSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 13} {
-		for _, dist := range workload.Distributions {
-			spec := workload.Spec{Dist: dist, Seed: uint64(p), Span: 1e9}
-			ins, outs := runSort(t, p, spec, 200, Config{}, nil)
-			checkSorted(t, ins, outs, true, 0)
+	forEachFinder(t, Config{}, func(t *testing.T, cfg Config) {
+		for _, p := range []int{1, 2, 3, 5, 8, 13} {
+			for _, dist := range workload.Distributions {
+				spec := workload.Spec{Dist: dist, Seed: uint64(p), Span: 1e9}
+				ins, outs := runSort(t, p, spec, 200, cfg, nil)
+				checkSorted(t, ins, outs, true, 0)
+			}
 		}
-	}
+	})
 }
 
 func TestSortLargerScale(t *testing.T) {
@@ -119,8 +132,10 @@ func TestSortNonPowerOfTwoRanks(t *testing.T) {
 func TestSortSparseRanks(t *testing.T) {
 	// Sparse inputs: a fraction of ranks contribute nothing (§VII).
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 7, Span: 1e9, Sparse: 3}
-	ins, outs := runSort(t, 9, spec, 500, Config{}, nil)
-	checkSorted(t, ins, outs, true, 0)
+	forEachFinder(t, Config{}, func(t *testing.T, cfg Config) {
+		ins, outs := runSort(t, 9, spec, 500, cfg, nil)
+		checkSorted(t, ins, outs, true, 0)
+	})
 }
 
 func TestSortTinyInputs(t *testing.T) {
@@ -149,19 +164,23 @@ func TestSortMergeStrategies(t *testing.T) {
 
 func TestSortEpsilonRelaxed(t *testing.T) {
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 13, Span: 1e9}
-	ins, outs := runSort(t, 8, spec, 1000, Config{Epsilon: 0.1}, nil)
-	checkSorted(t, ins, outs, false, 0.1)
+	forEachFinder(t, Config{Epsilon: 0.1}, func(t *testing.T, cfg Config) {
+		ins, outs := runSort(t, 8, spec, 1000, cfg, nil)
+		checkSorted(t, ins, outs, false, 0.1)
+	})
 }
 
 func TestSortForceUniqueTransform(t *testing.T) {
 	// The §V-A transformation must preserve the full contract.
-	for _, p := range []int{3, 8} {
-		for _, dist := range []workload.Distribution{workload.Uniform, workload.DuplicateHeavy, workload.AllEqual} {
-			spec := workload.Spec{Dist: dist, Seed: uint64(p) + 70, Span: 1e9}
-			ins, outs := runSort(t, p, spec, 250, Config{ForceUnique: true}, nil)
-			checkSorted(t, ins, outs, true, 0)
+	forEachFinder(t, Config{ForceUnique: true}, func(t *testing.T, cfg Config) {
+		for _, p := range []int{3, 8} {
+			for _, dist := range []workload.Distribution{workload.Uniform, workload.DuplicateHeavy, workload.AllEqual} {
+				spec := workload.Spec{Dist: dist, Seed: uint64(p) + 70, Span: 1e9}
+				ins, outs := runSort(t, p, spec, 250, cfg, nil)
+				checkSorted(t, ins, outs, true, 0)
+			}
 		}
-	}
+	})
 }
 
 func TestSortRawKeysDistinct(t *testing.T) {
@@ -215,8 +234,10 @@ func TestSortRawKeysAllEqualPerfect(t *testing.T) {
 func TestSortUnderCostModel(t *testing.T) {
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 21, Span: 1e9}
-	ins, outs := runSort(t, 16, spec, 300, Config{}, model)
-	checkSorted(t, ins, outs, true, 0)
+	forEachFinder(t, Config{}, func(t *testing.T, cfg Config) {
+		ins, outs := runSort(t, 16, spec, 300, cfg, model)
+		checkSorted(t, ins, outs, true, 0)
+	})
 }
 
 func TestSortVirtualScaleDoesNotChangeResult(t *testing.T) {
@@ -273,6 +294,14 @@ func TestSortInvalidConfig(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown merge strategy must be rejected")
 	}
+	w3, _ := comm.NewWorld(1, nil)
+	err = w3.Run(func(c *comm.Comm) error {
+		_, err := Sort(c, []uint64{1}, u64, Config{Splitter: SplitterFinder(9)})
+		return err
+	})
+	if err == nil {
+		t.Fatal("unknown splitter finder must be rejected")
+	}
 }
 
 func TestSortDoesNotModifyInput(t *testing.T) {
@@ -296,6 +325,16 @@ func TestSortDoesNotModifyInput(t *testing.T) {
 	}
 }
 
+// floatKeys maps uint64 workload keys onto floats in [-1e6, 1e6], the
+// shared-memory benchmark's value domain (§VI-D).
+func floatKeys(raw []uint64) []float64 {
+	out := make([]float64, len(raw))
+	for i, k := range raw {
+		out[i] = (float64(k)/math.MaxUint64 - 0.5) * 2e6
+	}
+	return out
+}
+
 func TestSortFloatKeys(t *testing.T) {
 	p := 6
 	w, _ := comm.NewWorld(p, nil)
@@ -304,7 +343,7 @@ func TestSortFloatKeys(t *testing.T) {
 	err := w.Run(func(c *comm.Comm) error {
 		spec := workload.Spec{Dist: workload.Normal, Seed: 31, Span: 1e9}
 		raw, _ := spec.Rank(c.Rank(), 500)
-		local := workload.Floats(raw)
+		local := floatKeys(raw)
 		out, err := Sort(c, local, keys.Float64{}, Config{})
 		if err != nil {
 			return err

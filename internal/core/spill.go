@@ -9,6 +9,7 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/metrics"
+	"dhsort/internal/sortutil"
 	"dhsort/internal/store"
 	"dhsort/internal/xmath"
 )
@@ -77,6 +78,9 @@ type sortedSource[K any] interface {
 	// so searching images with needle ToBits(k) is exactly that).
 	LowerBound(k K) int
 	UpperBound(k K) int
+	// At returns the element at sorted position i (the sampled finder's
+	// random sample).
+	At(i int) K
 }
 
 // memSource is the resident sortedSource.
@@ -94,8 +98,9 @@ func (m memSource[K]) Extrema() (xmath.U128, xmath.U128, bool) {
 	return m.ops.ToBits(m.s[0]), m.ops.ToBits(m.s[len(m.s)-1]), true
 }
 
-func (m memSource[K]) LowerBound(k K) int { return lowerBoundSlice(m.s, k, m.ops.Less) }
-func (m memSource[K]) UpperBound(k K) int { return upperBoundSlice(m.s, k, m.ops.Less) }
+func (m memSource[K]) LowerBound(k K) int { return sortutil.LowerBound(m.s, k, m.ops.Less) }
+func (m memSource[K]) UpperBound(k K) int { return sortutil.UpperBound(m.s, k, m.ops.Less) }
+func (m memSource[K]) At(i int) K         { return m.s[i] }
 
 // extBlock is the partition run's search block: the resident footprint of
 // the block cache is one block, regardless of partition size.
@@ -226,6 +231,8 @@ func (e *extPartition[K]) UpperBound(k K) int {
 	return sort.Search(int(e.count), func(i int) bool { return needle.Less(e.img(int64(i))) })
 }
 
+func (e *extPartition[K]) At(i int) K { return e.ops.FromBits(e.img(int64(i))) }
+
 // segment decodes the record range [lo, hi) into a fresh slice.
 func (e *extPartition[K]) segment(lo, hi int) []K {
 	if hi <= lo {
@@ -245,17 +252,6 @@ func (e *extPartition[K]) segment(lo, hi int) []K {
 // materialize decodes the whole partition.
 func (e *extPartition[K]) materialize() []K {
 	return e.segment(0, int(e.count))
-}
-
-// lowerBoundSlice / upperBoundSlice are the resident binary searches
-// (identical to sortutil's; re-declared here to keep the source types free
-// of an extra import cycle concern).
-func lowerBoundSlice[K any](s []K, k K, less func(a, b K) bool) int {
-	return sort.Search(len(s), func(i int) bool { return !less(s[i], k) })
-}
-
-func upperBoundSlice[K any](s []K, k K, less func(a, b K) bool) int {
-	return sort.Search(len(s), func(i int) bool { return less(k, s[i]) })
 }
 
 // writeRunKeys seals ks (in order) as the named run, encoding each key to
@@ -360,11 +356,6 @@ func mergePassStats(spans []store.Span, fanIn int) (int, int64) {
 	return store.MergePlanStats(lens, fanIn)
 }
 
-// exchangeSegments hands the fused exchange its outgoing segments: the
-// resident path slices the sorted partition, the external path decodes
-// ranges of the partition run.
-type exchangeSegments[K any] func(lo, hi int) []K
-
 // spilledExchangeMerge is the data-exchange + merge superstep of the
 // external-memory path: the same explicit 1-factor sendrecv rounds as the
 // fused overlap exchange (so spilled and resident ranks interoperate and the
@@ -372,11 +363,12 @@ type exchangeSegments[K any] func(lo, hi int) []K
 // into a scratch run instead of accumulating in memory, and the final
 // partition streams out of one loser-tree merge over those runs — priced as
 // the sequential tournament merge.
-func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys.Ops[K], sendCounts []int, cfg Config, plan *spillPlan[K]) ([]K, error) {
+func spilledExchangeMerge[K any](c *comm.Comm, part *extPartition[K], ops keys.Ops[K], sendCounts []int, cfg Config, plan *spillPlan[K]) ([]K, error) {
 	p := c.Size()
 	model := c.Model()
 	scale := cfg.scale()
 	rec := cfg.Recorder
+	rec.SetExchangeAlg("fused-1factor")
 
 	offsets := make([]int, p+1)
 	for d := 0; d < p; d++ {
@@ -397,7 +389,7 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 		return nil
 	}
 
-	if err := spill(0, seg(offsets[c.Rank()], offsets[c.Rank()+1])); err != nil {
+	if err := spill(0, part.segment(offsets[c.Rank()], offsets[c.Rank()+1])); err != nil {
 		return nil, err
 	}
 	rounds := comm.OneFactorRounds(p)
@@ -406,7 +398,7 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 		if partner < 0 {
 			continue
 		}
-		got := comm.SendrecvProtocol(c, partner, overlapTag+r, seg(offsets[partner], offsets[partner+1]), scale)
+		got := comm.SendrecvProtocol(c, partner, overlapTag+r, part.segment(offsets[partner], offsets[partner+1]), scale)
 		if err := spill(r+1, got); err != nil {
 			return nil, err
 		}
@@ -443,84 +435,5 @@ func spilledExchangeMerge[K any](c *comm.Comm, seg exchangeSegments[K], ops keys
 			return nil, err
 		}
 	}
-	return out, nil
-}
-
-// sortStepsSpilled runs the four supersteps of §V in the external-memory
-// regime.  The collective operations, their payload sizes, and the search
-// pricing are identical to the resident sortSteps — the store is a host-side
-// execution strategy the virtual clock never sees.
-func sortStepsSpilled[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *Checkpoint[K]) ([]K, error) {
-	p := c.Size()
-	rec := cfg.Recorder
-	plan := newSpillPlan(c, ops, cfg)
-
-	// Superstep 1: chunked Local Sort into store runs, merged into the
-	// partition run.
-	rec.Enter(metrics.LocalSort)
-	part, err := extSortLocal(c, local, ops, cfg, plan)
-	if err != nil {
-		return nil, err
-	}
-	defer part.Close()
-	if p == 1 {
-		out := part.materialize()
-		rec.Finish()
-		return out, nil
-	}
-	var splitters []K
-	var cuts []int
-	if err := ck.boundary(c, ops, cfg, StepLocalSort, nil, part, plan, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-
-	// Superstep 2: Splitting over the disk-resident partition.
-	rec.Enter(metrics.Other)
-	capacities := comm.AllgatherOne(c, int64(len(local)))
-	targets := make([]int64, p-1)
-	var totalN, acc int64
-	for _, cn := range capacities {
-		totalN += cn
-	}
-	for i := 0; i < p-1; i++ {
-		acc += capacities[i]
-		targets[i] = acc
-	}
-	tol := int64(cfg.Epsilon * float64(totalN) / (2 * float64(p)))
-
-	rec.Enter(metrics.Histogram)
-	splitters, _ = findSplittersOn[K](c, part, ops, targets, tol, cfg)
-	if err := ck.boundary(c, ops, cfg, StepSplitting, nil, part, plan, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-
-	// Superstep 3: permutation matrix over the disk-resident partition.
-	rec.Enter(metrics.Other)
-	cuts = computeCutsOn[K](c, part, ops, splitters, targets, cfg)
-	if err := ck.boundary(c, ops, cfg, StepCuts, nil, part, plan, &splitters, &cuts); err != nil {
-		return nil, err
-	}
-
-	// Superstep 4: fused 1-factor exchange with spilled receive runs.
-	rec.Enter(metrics.Exchange)
-	sendCounts := make([]int, p)
-	var outBytes int64
-	for d := 0; d < p; d++ {
-		sendCounts[d] = cuts[d+1] - cuts[d]
-		if d != c.Rank() {
-			outBytes += int64(sendCounts[d]) * int64(ops.Bytes())
-		}
-	}
-	rec.AddExchangedBytes(int64(float64(outBytes) * cfg.scale()))
-	rec.SetExchangeAlg("fused-1factor")
-	out, err := spilledExchangeMerge[K](c, part.segment, ops, sendCounts, cfg, plan)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Rebalance {
-		rec.Enter(metrics.Other)
-		out = RebalanceOutput(c, out, ops, cfg)
-	}
-	rec.Finish()
 	return out, nil
 }

@@ -69,14 +69,19 @@ func runSortClocked(t *testing.T, p int, spec workload.Spec, perRank int, cfg Co
 // TestSpilledSortMatchesResident is the out-of-core acceptance test: a P=16
 // sort whose MemBudget is an eighth of each rank's input must complete from
 // disk runs with output bit-identical to the in-memory run at identical
-// parameters.
+// parameters, with either splitter finder.
 func TestSpilledSortMatchesResident(t *testing.T) {
+	forEachFinder(t, Config{Threads: 1}, testSpilledSortMatchesResident)
+}
+
+func testSpilledSortMatchesResident(t *testing.T, resident Config) {
 	const p, perRank = 16, 2048
 	model := simnet.SuperMUC(4, true)
 	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
 
-	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, model)
-	cfg := Config{Threads: 1, MemBudget: spillBudget(perRank), SpillDir: t.TempDir()}
+	_, want := runSort(t, p, spec, perRank, resident, model)
+	cfg := resident
+	cfg.MemBudget, cfg.SpillDir = spillBudget(perRank), t.TempDir()
 	ins, got, _, recs := runSortClocked(t, p, spec, perRank, cfg, model)
 	checkSorted(t, ins, got, true, 0)
 	if !reflect.DeepEqual(want, got) {

@@ -122,11 +122,32 @@ scan:
 	st.lo, st.hi = newLo, newHi
 }
 
+// splitTargets returns the Splitting superstep's inputs for a rank holding
+// n elements: the global target ranks — the capacity prefix sums of
+// Definition 3 — and the tolerance ε·N/(2P) of Definition 1.
+func splitTargets(c *comm.Comm, n int, eps float64) ([]int64, int64) {
+	p := c.Size()
+	capacities := comm.AllgatherOne(c, int64(n))
+	targets := make([]int64, p-1)
+	var totalN, acc int64
+	for _, cn := range capacities {
+		totalN += cn
+	}
+	for i := range targets {
+		acc += capacities[i]
+		targets[i] = acc
+	}
+	return targets, int64(eps * float64(totalN) / (2 * float64(p)))
+}
+
 // FindSplitters determines the P-1 splitter values for the given rank
 // targets over the locally sorted partition (Algorithms 2+3).  targets[i]
 // is the global rank T_i that splitter i must hit: splitter i is accepted
 // when its global histogram satisfies L_i - tol < T_i <= U_i + tol
 // (Definition 4, relaxed by the ε tolerance of Definition 1).
+//
+// cfg.Splitter selects the finder: the paper's bisection (the zero value)
+// or the sampled probes of HSS (see SplitSampled).
 //
 // cfg.Probes > 1 places that many probes per unfinished boundary per round
 // (k-ary refinement); cfg.Warm seeds boundaries with intervals from an
@@ -144,10 +165,18 @@ func FindSplitters[K any](c *comm.Comm, sorted []K, ops keys.Ops[K], targets []i
 }
 
 // findSplittersOn is FindSplitters over a sortedSource, so the same
-// refinement loop serves the resident and the external-memory partition.
+// refinement loops serve the resident and the external-memory partition.
 // Every collective payload and cost-model call depends only on element
 // counts and probe bounds, never on the backing.
 func findSplittersOn[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], targets []int64, tol int64, cfg Config) ([]K, int) {
+	if cfg.Splitter == SplitSampled {
+		return sampleSplitters(c, src, ops, targets, tol, cfg)
+	}
+	return bisectSplitters(c, src, ops, targets, tol, cfg)
+}
+
+// bisectSplitters is the SplitBisection finder (Algorithms 2+3).
+func bisectSplitters[K any](c *comm.Comm, src sortedSource[K], ops keys.Ops[K], targets []int64, tol int64, cfg Config) ([]K, int) {
 	nsplit := len(targets)
 	if nsplit == 0 {
 		return nil, 0

@@ -11,7 +11,7 @@
 // interleave.  The resilience mechanisms that survive the injected faults
 // live elsewhere: retransmission with exponential backoff and
 // sequence-number dedup in internal/comm, superstep checkpoint/recovery in
-// internal/core and internal/hss.
+// internal/core.
 package fault
 
 import (

@@ -5,10 +5,10 @@
 // machine-readable counterpart to the per-phase breakdowns the paper's
 // evaluation (Figs. 2-4) is built from.
 //
-// The Recorder supersedes trace.Recorder: it keeps the same nil-safe phase
-// API every algorithm threads through its Config, and additionally diffs
-// the rank's comm.Stats accumulator at every phase boundary, so message
-// counts and byte volumes are attributed to the superstep that caused them.
+// The Recorder is nil-safe, so every algorithm threads it through its Config
+// and runs unrecorded with a nil one.  It diffs the rank's comm.Stats
+// accumulator at every phase boundary, so message counts and byte volumes
+// are attributed to the superstep that caused them.
 package metrics
 
 import (
@@ -17,29 +17,59 @@ import (
 	"dhsort/internal/comm"
 	"dhsort/internal/fault"
 	"dhsort/internal/simnet"
-	"dhsort/internal/trace"
 )
 
-// Phase identifies one superstep of the sorting pipeline; the constants
-// re-export the trace package's enum so algorithm code only needs one
-// import.
-type Phase = trace.Phase
+// Phase identifies one superstep of the sorting pipeline.
+type Phase int
 
 // The phases the paper's evaluation breaks executions into.
 const (
 	// LocalSort is the initial local sort superstep.
-	LocalSort = trace.LocalSort
+	LocalSort Phase = iota
 	// Histogram is the splitter-determination superstep (§V-A).
-	Histogram = trace.Histogram
+	Histogram
 	// Exchange is the ALL-TO-ALLV data exchange superstep (§V-B).
-	Exchange = trace.Exchange
+	Exchange
 	// Merge is the local merge superstep (§V-C).
-	Merge = trace.Merge
+	Merge
 	// Other covers setup, permutation-matrix construction, and teardown.
-	Other = trace.Other
+	Other
 	// NumPhases is the number of phases.
-	NumPhases = trace.NumPhases
+	NumPhases
 )
+
+// String returns the phase name as used in the figures.
+func (p Phase) String() string {
+	switch p {
+	case LocalSort:
+		return "LocalSort"
+	case Histogram:
+		return "Histogram"
+	case Exchange:
+		return "Exchange"
+	case Merge:
+		return "Merge"
+	case Other:
+		return "Other"
+	}
+	return "Unknown"
+}
+
+// FaultSpan is one fault-plane occurrence on a rank's timeline: an injected
+// fault, its detection, a repair attempt, or a completed recovery — the
+// explanation for why a superstep ran slow.  Kind carries the
+// fault.EventKind label ("inject", "detect", "retry", "recover").
+type FaultSpan struct {
+	Kind   string
+	Phase  Phase         // superstep the event interrupted
+	At     time.Duration // clock time the event was recorded
+	Dur    time.Duration // time the event cost (backoff wait, recovery)
+	Detail string
+}
+
+// maxFaultSpans caps the per-rank span list; a high-rate injection schedule
+// can emit millions of events, and the tail adds nothing a counter doesn't.
+const maxFaultSpans = 4096
 
 // LinkTally tallies one link class's traffic: two-sided messages and bytes,
 // plus one-sided puts, put volume and notifications (internal/rma traffic,
@@ -145,7 +175,7 @@ type Recorder struct {
 	// after sorting, feeding the output-imbalance factor.
 	ElementsIn, ElementsOut int
 	// ExchangeAlg is the data-exchange algorithm that actually ran —
-	// recorded by core.ExchangeAndMerge as the effective choice, which may
+	// recorded by core's exchange superstep as the effective choice, which may
 	// differ from the requested one (e.g. hierarchical silently degrades
 	// to one-factor without node topology).
 	ExchangeAlg string
@@ -180,9 +210,9 @@ type Recorder struct {
 	SpilledRuns int64
 	// SpillBytes is the record volume this rank wrote to the store.
 	SpillBytes int64
-	// FaultSpans is the rank's fault-event timeline (capped; see
-	// trace.AddFaultSpan for the overflow rule applied here too).
-	FaultSpans        []trace.FaultSpan
+	// FaultSpans is the rank's fault-event timeline, capped at
+	// maxFaultSpans; FaultSpansDropped counts the overflow.
+	FaultSpans        []FaultSpan
 	FaultSpansDropped int
 }
 
@@ -200,7 +230,7 @@ func NewRecorder(clock *simnet.Clock, stats *comm.Stats) *Recorder {
 // ForComm returns a recorder bound to the rank's clock and stats
 // accumulator — the standard way to instrument a rank function.  Under a
 // fault-injecting world it also registers itself as the rank's fault-event
-// observer, turning transport events into trace spans.
+// observer, turning transport events into fault spans.
 func ForComm(c *comm.Comm) *Recorder {
 	r := NewRecorder(c.Clock(), c.Stats())
 	if c.FaultInjector() != nil {
@@ -378,11 +408,9 @@ func (r *Recorder) AddStall(d time.Duration) {
 	}
 }
 
-// maxFaultSpans mirrors the trace package's per-rank span cap.
-const maxFaultSpans = 4096
-
 // AddFaultSpan appends a fault event to the rank's timeline, stamped with
-// the current clock and phase.
+// the current clock and phase.  Spans beyond maxFaultSpans are counted, not
+// stored.
 func (r *Recorder) AddFaultSpan(kind, detail string, dur time.Duration) {
 	if r == nil {
 		return
@@ -391,7 +419,7 @@ func (r *Recorder) AddFaultSpan(kind, detail string, dur time.Duration) {
 		r.FaultSpansDropped++
 		return
 	}
-	r.FaultSpans = append(r.FaultSpans, trace.FaultSpan{
+	r.FaultSpans = append(r.FaultSpans, FaultSpan{
 		Kind: kind, Phase: r.cur, At: r.clock.Now(), Dur: dur, Detail: detail,
 	})
 }

@@ -25,10 +25,10 @@ func runWorld(t *testing.T, p int, model *simnet.CostModel, fn func(c *comm.Comm
 
 // TestConcurrentDisjointPuts is the subsystem's core contract under the race
 // detector: 16 ranks concurrently put into disjoint regions of every peer's
-// window, a fence closes the epoch, and every rank observes all 16
-// contributions.  The put is a direct cross-goroutine memory write; the
-// fence's barrier is the only ordering — any missing happens-before edge is
-// a -race failure here.
+// window, a flush and a barrier close the epoch, and every rank observes all
+// 16 contributions.  The put is a direct cross-goroutine memory write; the
+// barrier is the only ordering — any missing happens-before edge is a -race
+// failure here.
 func TestConcurrentDisjointPuts(t *testing.T) {
 	const p = 16
 	for _, model := range []*simnet.CostModel{nil, simnet.SuperMUC(4, true), simnet.SuperMUC(4, false)} {
@@ -38,10 +38,11 @@ func TestConcurrentDisjointPuts(t *testing.T) {
 			w := New[int](c, p)
 			for i := 1; i < p; i++ {
 				dst := (c.Rank() + i) % p
-				w.Put(dst, c.Rank(), []int{c.Rank() + 1})
+				w.PutScaled(dst, c.Rank(), []int{c.Rank() + 1}, 1)
 			}
 			w.Local()[c.Rank()] = c.Rank() + 1
-			w.Fence()
+			w.FlushAll()
+			comm.Barrier(c)
 			got := make([]int, p)
 			copy(got, w.Local())
 			mu.Lock()
@@ -75,7 +76,7 @@ func TestPutNotify(t *testing.T) {
 		if got := w.Local()[1]; got != uint64(100+n.Origin) {
 			t.Errorf("rank %d: window[1] = %d, want %d", c.Rank(), got, 100+n.Origin)
 		}
-		w.Fence()
+		comm.Barrier(c)
 		return nil
 	})
 }
@@ -91,7 +92,7 @@ func TestFlushOrdering(t *testing.T) {
 		if c.Rank() == 0 {
 			data := make([]byte, 1<<20)
 			before := c.Clock().Now()
-			w.Put(1, 0, data)
+			w.PutScaled(1, 0, data, 1)
 			afterPut := c.Clock().Now()
 			busy, completion := model.RMAPutCost(0, 1, len(data))
 			if afterPut-before != busy {
@@ -109,10 +110,6 @@ func TestFlushOrdering(t *testing.T) {
 				t.Errorf("flush left pending %v", w.pending[1])
 			}
 		}
-		w.Fence()
-		if w.Fences() != 1 {
-			t.Errorf("fence count %d, want 1", w.Fences())
-		}
 		return nil
 	})
 }
@@ -124,66 +121,14 @@ func TestFlushFreeOnSharedMemory(t *testing.T) {
 	runWorld(t, 2, model, func(c *comm.Comm) error {
 		w := New[byte](c, 4096)
 		if c.Rank() == 0 {
-			w.Put(1, 0, make([]byte, 4096))
+			w.PutScaled(1, 0, make([]byte, 4096), 1)
 			before := c.Clock().Now()
-			w.FlushLocal(1)
 			w.Flush(1)
 			if d := c.Clock().Now() - before; d != 0 {
 				t.Errorf("intra-node flush cost %v under PGAS pricing, want 0", d)
 			}
 		}
-		w.Fence()
-		return nil
-	})
-}
-
-// TestAccumulate: concurrent same-region accumulates from every rank are
-// atomic (the window lock serializes them), so the fenced result is the full
-// sum regardless of arrival order.
-func TestAccumulate(t *testing.T) {
-	const p = 16
-	var mu sync.Mutex
-	sums := make([]int64, p)
-	runWorld(t, p, nil, func(c *comm.Comm) error {
-		w := New[int64](c, 8)
-		add := func(a, b int64) int64 { return a + b }
-		for dst := 0; dst < p; dst++ {
-			w.Accumulate(dst, 0, []int64{int64(c.Rank() + 1), 1}, add)
-		}
-		w.Fence()
-		mu.Lock()
-		sums[c.Rank()] = w.Local()[0]*1000 + w.Local()[1]
-		mu.Unlock()
-		return nil
-	})
-	want := int64(p*(p+1)/2)*1000 + int64(p)
-	for r, got := range sums {
-		if got != want {
-			t.Fatalf("rank %d accumulated %d, want %d", r, got, want)
-		}
-	}
-}
-
-// TestGet reads back a fenced region, including from windows of differing
-// per-rank lengths (MPI_Win_allocate allows asymmetric sizes).
-func TestGet(t *testing.T) {
-	const p = 4
-	runWorld(t, p, simnet.SuperMUC(2, true), func(c *comm.Comm) error {
-		w := New[int](c, c.Rank()+1) // rank r exposes r+1 elements
-		for i := range w.Local() {
-			w.Local()[i] = c.Rank()*10 + i
-		}
-		w.Fence()
-		for src := 0; src < p; src++ {
-			if w.LocalLen(src) != src+1 {
-				t.Errorf("LocalLen(%d) = %d, want %d", src, w.LocalLen(src), src+1)
-			}
-			got := w.Get(src, src, 1)
-			if got[0] != src*10+src {
-				t.Errorf("Get(%d) = %d, want %d", src, got[0], src*10+src)
-			}
-		}
-		w.Fence()
+		comm.Barrier(c)
 		return nil
 	})
 }
@@ -204,8 +149,7 @@ func TestMultipleWindows(t *testing.T) {
 		if n := a.WaitNotify(prev); n.Value != 10 {
 			t.Errorf("window a got notification value %d, want 10", n.Value)
 		}
-		a.Fence()
-		b.Fence()
+		comm.Barrier(c)
 		return nil
 	})
 }
@@ -227,10 +171,10 @@ func TestRegionBoundsPanic(t *testing.T) {
 						t.Errorf("unhelpful panic message: %v", r)
 					}
 				}()
-				w.Put(1, 3, []int{1, 2})
+				w.PutScaled(1, 3, []int{1, 2}, 1)
 			}()
 		}
-		w.Fence()
+		comm.Barrier(c)
 		return nil
 	})
 }
@@ -254,7 +198,7 @@ func TestVirtualClockNoRendezvous(t *testing.T) {
 				t.Errorf("late notify consumption cost %v beyond local work, want 0", got-time.Millisecond)
 			}
 		}
-		w.Fence()
+		comm.Barrier(c)
 		return nil
 	})
 }

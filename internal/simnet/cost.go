@@ -177,17 +177,6 @@ func (m *CostModel) RMANotifyCost(src, dst int) (busy, delay time.Duration) {
 	return 2*m.Alpha[lc] + m.SendOverhead, m.Alpha[lc]
 }
 
-// RMAGetCost prices a blocking one-sided get: the rank at world rank origin
-// reads bytes out of target's window.
-func (m *CostModel) RMAGetCost(origin, target, bytes int) time.Duration {
-	lc := m.Topo.Link(origin, target)
-	if m.PGAS && lc != Network {
-		return time.Duration(float64(bytes) / m.MemGBps)
-	}
-	// Request plus data return: a full round trip around the transfer.
-	return m.SendOverhead + 2*m.Alpha[lc] + time.Duration(float64(bytes)/m.GBps[lc])
-}
-
 // RMAFlushCost prices Flush's completion guarantee towards one target,
 // beyond waiting out the pending puts' completion times.
 func (m *CostModel) RMAFlushCost(src, dst int) time.Duration {

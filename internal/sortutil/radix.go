@@ -15,23 +15,12 @@ func RadixSortUint64(a []uint64) {
 	RadixSortFuncScratch(a, func(v uint64) uint64 { return v }, 8, nil)
 }
 
-// RadixSortUint32 sorts a in ascending order in O(4·n) time and n extra
-// space.
-func RadixSortUint32(a []uint32) {
-	RadixSortFuncScratch(a, func(v uint32) uint64 { return uint64(v) }, 4, nil)
-}
-
-// RadixSortFunc stably sorts a by the uint64 image of key, which must be
-// order-preserving for the intended ordering.  width is the number of
-// significant key bytes (1-8); use 8 when unsure.
-func RadixSortFunc[T any](a []T, key func(T) uint64, width int) {
-	RadixSortFuncScratch(a, key, width, nil)
-}
-
-// RadixSortFuncScratch is RadixSortFunc drawing its element and key-cache
-// scratch from ar (nil means allocate).  It returns the number of scatter
-// passes actually executed — constant digits are skipped — which the
-// virtual-clock cost model uses to price the sort honestly.
+// RadixSortFuncScratch stably sorts a by the uint64 image of key, which must
+// be order-preserving for the intended ordering; width is the number of
+// significant key bytes (1-8; use 8 when unsure).  Element and key-cache
+// scratch come from ar (nil means allocate).  It returns the number of
+// scatter passes actually executed — constant digits are skipped — which
+// the virtual-clock cost model uses to price the sort honestly.
 func RadixSortFuncScratch[T any](a []T, key func(T) uint64, width int, ar *Arena[T]) int {
 	if width < 1 {
 		width = 1

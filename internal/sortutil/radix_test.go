@@ -24,29 +24,13 @@ func TestRadixSortUint64(t *testing.T) {
 	}
 }
 
-func TestRadixSortUint32(t *testing.T) {
-	src := prng.NewXoshiro256(5)
-	a := make([]uint32, 50000)
-	for i := range a {
-		a[i] = uint32(src.Uint64())
-	}
-	want := append([]uint32(nil), a...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	RadixSortUint32(a)
-	for i := range a {
-		if a[i] != want[i] {
-			t.Fatalf("mismatch at %d", i)
-		}
-	}
-}
-
 func TestRadixSortFuncStable(t *testing.T) {
 	src := prng.NewSplitMix64(9)
 	a := make([]pair, 20000)
 	for i := range a {
 		a[i] = pair{k: int(prng.Uint64n(src, 64)), tag: i}
 	}
-	RadixSortFunc(a, func(p pair) uint64 { return uint64(p.k) }, 1)
+	RadixSortFuncScratch(a, func(p pair) uint64 { return uint64(p.k) }, 1, nil)
 	for i := 1; i < len(a); i++ {
 		if a[i-1].k > a[i].k || (a[i-1].k == a[i].k && a[i-1].tag > a[i].tag) {
 			t.Fatal("radix sort must be stable")
@@ -56,12 +40,12 @@ func TestRadixSortFuncStable(t *testing.T) {
 
 func TestRadixSortFuncWidthClamp(t *testing.T) {
 	a := []uint64{3, 1, 2}
-	RadixSortFunc(a, func(v uint64) uint64 { return v }, 0) // clamps to 1
+	RadixSortFuncScratch(a, func(v uint64) uint64 { return v }, 0, nil) // clamps to 1
 	if !IsSorted(a, lessU64) {
 		t.Fatal("width clamp broke sorting")
 	}
 	b := []uint64{1 << 60, 1, 1 << 40}
-	RadixSortFunc(b, func(v uint64) uint64 { return v }, 99) // clamps to 8
+	RadixSortFuncScratch(b, func(v uint64) uint64 { return v }, 99, nil) // clamps to 8
 	if !IsSorted(b, lessU64) {
 		t.Fatal("width clamp broke sorting")
 	}

@@ -281,16 +281,6 @@ func zipfDraw(src prng.Source, span uint64) uint64 {
 	return v
 }
 
-// Floats converts uint64 keys into floats in [-1e6, 1e6], the shared-memory
-// benchmark's value domain (§VI-D).
-func Floats(keys []uint64) []float64 {
-	out := make([]float64, len(keys))
-	for i, k := range keys {
-		out[i] = (float64(k)/float64(math.MaxUint64) - 0.5) * 2e6
-	}
-	return out
-}
-
 // LocalSize returns rank's share of totalN elements over p ranks,
 // front-loaded like the paper's partitioning: every rank gets N/p and the
 // first N%p ranks one extra.

@@ -299,19 +299,6 @@ func TestFullSpan(t *testing.T) {
 	}
 }
 
-func TestFloats(t *testing.T) {
-	f := Floats([]uint64{0, math.MaxUint64 / 2, math.MaxUint64})
-	if f[0] != -1e6 {
-		t.Errorf("f[0] = %v", f[0])
-	}
-	if math.Abs(f[1]) > 1 {
-		t.Errorf("f[1] = %v", f[1])
-	}
-	if math.Abs(f[2]-1e6) > 1 {
-		t.Errorf("f[2] = %v", f[2])
-	}
-}
-
 func TestLocalSize(t *testing.T) {
 	total := 0
 	for r := 0; r < 7; r++ {
