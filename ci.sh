@@ -3,7 +3,7 @@
 # .github/workflows/ci.yml:
 #
 #   ./ci.sh          # tier 1: fmt + vet + lint + build + test + race (fast)
-#   ./ci.sh bench    # tier 1 + bench smoke, BENCH_ci.json + compare gate
+#   ./ci.sh bench    # tier 1 + smokes, BENCH_ci.json + compare gate + full-grid identity
 #   ./ci.sh chaos    # tier 2: the pinned-seed chaos corpus (64 scenarios)
 #   ./ci.sh serve    # tier 1 + sort-service smoke: dhsortd + client round trip
 #
@@ -82,7 +82,24 @@ if [ "${1:-}" = "bench" ]; then
         -dump "$ooc_tmp/spilled.txt" > /dev/null
     cmp "$ooc_tmp/resident.txt" "$ooc_tmp/spilled.txt"
     sort -c -n "$ooc_tmp/spilled.txt"
+
+    # Spilled crash smoke: crashes at two boundaries restore the spilled
+    # partition from its checkpoint runs; the output must not move.
+    echo "== spilled crash smoke (restored output must equal the resident output)"
+    go run ./cmd/dhsort -p 8 -n 16384 -model pgas -threads 1 \
+        -mem-budget 2048 -spill-dir "$ooc_tmp/crash" \
+        -fault crash=3@1,crash=5@3,seed=7 \
+        -dump "$ooc_tmp/crashed.txt" > /dev/null
+    cmp "$ooc_tmp/resident.txt" "$ooc_tmp/crashed.txt"
     rm -rf "$ooc_tmp"
+
+    # The full grid runs on the virtual clock, so it must regenerate the
+    # committed trajectory byte for byte at any GOMAXPROCS.
+    echo "== bench identity (full grid must reproduce BENCH_full.json)"
+    full_tmp=$(mktemp -d)
+    go run ./cmd/bench -json "$full_tmp/full.json" > /dev/null
+    cmp "$full_tmp/full.json" BENCH_full.json
+    rm -rf "$full_tmp"
 
     echo "== bench smoke (BENCH_ci.json)"
     go run ./cmd/bench -json BENCH_ci.json -smoke

@@ -196,9 +196,10 @@ var ErrRankDead = comm.ErrRankDead
 // boundary), so a loss-free continuation is impossible.
 var ErrShardLost = core.ErrShardLost
 
-// ErrCheckpointCorrupt marks a failed checkpoint restore: the snapshot and
-// every surviving replica (ring mirror, or the durable primary and replica
-// shards when a store is configured) failed the checksum audit.
+// ErrCheckpointCorrupt marks a failed checkpoint restore or adoption: every
+// surviving copy of the snapshot (the primary and the ring mirror for a
+// resident partition, the primary and replica store runs for a spilled one)
+// failed the checksum audit.
 var ErrCheckpointCorrupt = core.ErrCheckpointCorrupt
 
 // Store is the out-of-core storage plane: named, ordered runs of 128-bit

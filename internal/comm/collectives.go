@@ -400,19 +400,3 @@ func Alltoallv[T any](c *Comm, data []T, sendCounts []int, byteScale float64) ([
 	}
 	return out, recvCounts
 }
-
-// Exscan returns the exclusive prefix combination of v over ranks: rank r
-// receives op(v_0, ..., v_{r-1}); ok is false on rank 0, whose result is
-// undefined (the zero value).
-func Exscan[T any](c *Comm, v T, op func(a, b T) T) (T, bool) {
-	all := AllgatherOne(c, v)
-	var acc T
-	if c.rank == 0 {
-		return acc, false
-	}
-	acc = all[0]
-	for i := 1; i < c.rank; i++ {
-		acc = op(acc, all[i])
-	}
-	return acc, true
-}

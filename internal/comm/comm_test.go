@@ -436,26 +436,6 @@ func TestAlltoallvValidation(t *testing.T) {
 	}
 }
 
-func TestExscan(t *testing.T) {
-	add := func(a, b int) int { return a + b }
-	for _, p := range testSizes {
-		run(t, p, func(c *Comm) error {
-			v, ok := Exscan(c, c.Rank()+1, add)
-			if c.Rank() == 0 {
-				if ok {
-					t.Error("rank 0 must report ok=false")
-				}
-				return nil
-			}
-			want := c.Rank() * (c.Rank() + 1) / 2 // sum of 1..rank
-			if !ok || v != want {
-				t.Errorf("p=%d rank=%d: got %d (ok=%v), want %d", p, c.Rank(), v, ok, want)
-			}
-			return nil
-		})
-	}
-}
-
 func TestSplit(t *testing.T) {
 	run(t, 12, func(c *Comm) error {
 		// Two colors; order within each by descending rank via key.

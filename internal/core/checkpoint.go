@@ -3,27 +3,37 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"slices"
 
 	"dhsort/internal/comm"
 	"dhsort/internal/keys"
 	"dhsort/internal/store"
+	"dhsort/internal/xmath"
 )
 
 // Superstep checkpointing — the resilience half of the fault plane
 // (internal/fault).  At each superstep boundary a rank snapshots the state
 // the next superstep depends on (the locally sorted partition, the splitter
-// vector, the exchange cut offsets), checksums it, and mirrors the full
-// snapshot around a ring: the successor holds a replica it can audit for
-// superstep agreement, adopt if the predecessor dies permanently
+// vector, the exchange cut offsets), checksums it, and mirrors the snapshot
+// around a ring: the successor holds a replica it can audit for superstep
+// agreement, adopt if the predecessor dies permanently
 // (Config.Recovery == "shrink"), or serve back if the predecessor's own
 // snapshot rots.  A rank the schedule crashes at that boundary loses its
 // live state, pays the respawn + restore cost on the virtual clock,
 // re-enters from the snapshot, and verifies the checksum before continuing;
-// a corrupt snapshot falls back to the ring mirror before failing with
+// a corrupt snapshot falls back to the replica before failing with
 // ErrCheckpointCorrupt.  A rank the schedule kills (die=RANK@STEP) leaves
 // for good after mirroring.  Checkpointing only runs in fault-injecting
 // worlds, so fault-free runs are byte-identical to before.
+//
+// The partition's backing alone decides where the sorted section of a
+// snapshot lives.  A resident partition is deep-copied into the snapshot
+// and into the ring message.  A spilled partition is copied run to run into
+// a primary and a replica store run (ckptRun), which the ring message names
+// implicitly by world rank and step.  The splitters and cuts are O(P) and
+// always travel resident.
 
 // The fault plane's superstep schedule: crash/stall coordinates in
 // fault.Plan address these boundary indices.
@@ -38,9 +48,9 @@ const (
 )
 
 // ErrCheckpointCorrupt is the typed checkpoint-integrity error: a restored
-// snapshot failed its checksum audit and the ring mirror could not cover
-// for it either.  It replaces the former checksum panic; callers receive it
-// through Sort's error return.
+// or adopted snapshot failed its checksum audit and its replica could not
+// cover for it either.  It replaces the former checksum panic; callers
+// receive it through Sort's error return.
 var ErrCheckpointCorrupt = errors.New("core: checkpoint corrupt")
 
 // ErrShardLost is returned when shrink recovery cannot be loss-free: a dead
@@ -48,49 +58,15 @@ var ErrCheckpointCorrupt = errors.New("core: checkpoint corrupt")
 // same boundary, so the victim's data has no surviving replica.
 var ErrShardLost = errors.New("core: checkpoint mirror lost: a rank and its ring successor died at the same boundary")
 
-// ckptShard is the full snapshot mirrored to the ring successor at every
-// boundary: the audit descriptor plus deep copies of the state, so the
-// replica stays valid after the owner's buffers are reused (or the owner is
-// gone).
+// ckptShard is one copy of a snapshot: the audit descriptor plus deep
+// copies of the state, so the copy stays valid after the owner's buffers
+// are reused (or the owner is gone).  Sorted is nil when the partition is
+// spilled; its section then lives in the ckptRun store runs.
 type ckptShard[K any] struct {
 	Desc      ckptDesc
 	Sorted    []K
 	Splitters []K
 	Cuts      []int
-}
-
-// checkpoint is one rank's snapshot store: the last completed superstep's
-// state, its checksum, and the ring-mirror replicas.  The zero value is
-// ready; a nil pointer (fault-free run) makes boundary a no-op.
-type checkpoint[K any] struct {
-	step      int
-	sorted    []K
-	splitters []K
-	cuts      []int
-	sum       uint64
-
-	// sent is the deep copy of this rank's latest snapshot as mirrored to
-	// the ring successor — retained because it doubles as the local image
-	// of the remote replica when the primary snapshot fails its checksum.
-	sent      ckptShard[K]
-	sentValid bool
-
-	// mirror is the ring predecessor's latest mirrored snapshot, adopted by
-	// the shrink recovery when the predecessor dies.
-	mirror      ckptShard[K]
-	mirrorFrom  int // predecessor's communicator rank at mirror time
-	mirrorWorld int // predecessor's world rank at mirror time
-	mirrorValid bool
-
-	// Durable mode (a shared store is configured and the key embedding is
-	// lossless): shards persist as primary + replica store runs, the ring
-	// message carries only the descriptor, and restore/adoption read the
-	// store back instead of resident deep copies.
-	durable bool
-	st      store.Store
-	ops     keys.Ops[K] // retained for decode in adopt (shrinkRecover has no ops)
-	world   int         // this rank's world rank (shard run naming)
-	elems   int64       // snapshot sorted-element count
 }
 
 // ckptDesc is the audit descriptor carried with every mirrored snapshot:
@@ -101,24 +77,56 @@ type ckptDesc struct {
 	Sum   uint64
 }
 
+// checkpoint is one rank's snapshot store: the last completed superstep's
+// primary copy, the replica mirrored to the ring successor, and the ring
+// predecessor's mirrored copy.  The zero value is ready; a nil pointer
+// (fault-free run) makes boundary a no-op.
+type checkpoint[K any] struct {
+	primary ckptShard[K]
+
+	// sent is the deep copy of primary as mirrored to the ring successor —
+	// retained because it doubles as the local image of the remote replica
+	// when the primary fails its checksum.
+	sent ckptShard[K]
+
+	// mirror is the ring predecessor's latest mirrored snapshot, adopted by
+	// the shrink recovery when the predecessor dies.
+	mirror      ckptShard[K]
+	mirrorFrom  int // predecessor's communicator rank at mirror time
+	mirrorWorld int // predecessor's world rank at mirror time
+	mirrorValid bool
+
+	// st holds the sorted sections of spilled snapshots (nil while the
+	// partition is resident).
+	st    store.Store
+	ops   keys.Ops[K] // retained for adopt (shrinkRecover has no ops)
+	world int         // this rank's world rank (ckptRun naming)
+}
+
+// ckptRun names the store run holding the sorted section of a spilled
+// snapshot copy: ckpt/w<world>/s<step>.<p|r>.  Names carry the world rank
+// and step, so a restored partition can keep pointing at a checkpoint run
+// while the next boundary seals fresh names.
+func ckptRun(world, step int, replica bool) string {
+	side := "p"
+	if replica {
+		side = "r"
+	}
+	return fmt.Sprintf("ckpt/w%d/s%d.%s", world, step, side)
+}
+
 // boundary runs the checkpoint protocol at superstep boundary `step`.  The
 // live state is (*sorted, *splitters, *cuts) on the resident path; on the
-// external-memory path part is the disk-resident partition (*sorted stays
-// empty) and plan carries its store.  In fault-free worlds it does nothing.
-// Under fault injection it (1) snapshots + checksums the state and prices
-// the checkpoint write, (2) mirrors the snapshot to the next ring neighbour
-// and audits the predecessor's, (3) applies a scheduled permanent death —
-// the rank mirrors first, then leaves for good —, (4) applies a scheduled
-// stall, and (5) applies a scheduled crash: wipes the live state, pays
-// respawn + restore, re-installs the snapshot (falling back to the ring
-// mirror on checksum failure) and only then errors with
-// ErrCheckpointCorrupt.
-//
-// With a shared store and a lossless key embedding the checkpoint turns
-// durable: shards persist as primary + replica store runs and the ring
-// carries only descriptors; the collective pattern, payload pricing, and
-// fault handling are otherwise identical.
-func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted *[]K, part *extPartition[K], plan *spillPlan[K], splitters *[]K, cuts *[]int) error {
+// external-memory path part is the store-resident partition (*sorted stays
+// empty).  In fault-free worlds it does nothing.  Under fault injection it
+// (1) snapshots + checksums the state and prices the checkpoint write, (2)
+// mirrors the snapshot to the next ring neighbour and audits the
+// predecessor's, (3) applies a scheduled permanent death — the rank mirrors
+// first, then leaves for good —, (4) applies a scheduled stall, and (5)
+// applies a scheduled crash: wipes the live state, pays respawn + restore,
+// re-installs the snapshot (falling back to the replica on checksum
+// failure) and only then errors with ErrCheckpointCorrupt.
+func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, step int, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
 	if ck == nil {
 		return nil
 	}
@@ -130,75 +138,62 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 	model := c.Model()
 	p := c.Size()
 
-	// Durable shard storage: the spill plan's store on the external path,
-	// the configured shared store on the resident path (when present).
-	var durableSt store.Store
+	// (1) Snapshot and checksum the live state.  The write is priced at the
+	// scaled volume, like the data it protects.  A spilled partition is
+	// checksummed by streaming its run (auditing the run's own integrity on
+	// the way), then copied into the primary and replica runs — each copy
+	// independently from the live run, so a primary that rots at seal time
+	// cannot poison the replica.
+	pr := &ck.primary
+	ck.ops, ck.world, ck.st = ops, c.WorldRank(), nil
+	pr.Desc.Step = int32(step)
+	pr.Splitters = snapshot(pr.Splitters, splitters)
+	pr.Cuts = snapshot(pr.Cuts, cuts)
+	liveRun := ""
 	if part != nil {
-		durableSt = plan.st
-	} else if keys.Lossless(ops) {
-		durableSt = cfg.durableStore()
-	}
-	durable := durableSt != nil
-
-	// (1) Snapshot into the checkpoint store and checksum it.  The write
-	// is priced at the scaled volume, like the data it protects.  On the
-	// external path the sorted partition is already a sealed run; the
-	// checksum streams its images (auditing the run's own integrity on the
-	// way) instead of copying it resident.
-	ck.step = step
-	ck.splitters = snapshot(ck.splitters, splitters)
-	ck.cuts = snapshot(ck.cuts, cuts)
-	if part != nil {
-		ck.sorted = ck.sorted[:0]
-		ck.elems = part.count
-		sum, err := foldRunChecksum(durableSt, part.name, step, imagesOf(ops, ck.splitters), ck.cuts)
-		if err != nil {
-			return fmt.Errorf("%w: rank %d at step %d: partition run %q failed its audit at checkpoint time: %v", ErrCheckpointCorrupt, c.Rank(), step, part.name, err)
-		}
-		ck.sum = sum
+		ck.st, liveRun = part.st, part.name
+		pr.Sorted, pr.Desc.Elems = nil, part.count
 	} else {
-		ck.sorted = snapshot(ck.sorted, sorted)
-		ck.elems = int64(len(ck.sorted))
-		ck.sum = ck.checksum(ops)
+		pr.Sorted = snapshot(pr.Sorted, sorted)
+		pr.Desc.Elems = int64(len(pr.Sorted))
 	}
-	velems := int(float64(ck.elems) * cfg.scale())
+	sum, err := ck.fold(*pr, liveRun)
+	if err != nil {
+		return fmt.Errorf("%w: rank %d at step %d: partition run %q failed its audit at checkpoint time: %v", ErrCheckpointCorrupt, c.Rank(), step, liveRun, err)
+	}
+	pr.Desc.Sum = sum
+	if part != nil {
+		for _, replica := range []bool{false, true} {
+			if err := copyRun(ck.st, part.name, ckptRun(ck.world, step, replica)); err != nil {
+				return err
+			}
+		}
+	}
+	velems := int(float64(pr.Desc.Elems) * cfg.scale())
 	vbytes := int64(float64(ck.bytes(ops)) * cfg.scale())
 	if model != nil {
 		c.Clock().Advance(model.ScanCost(velems) + model.CheckpointCost(int(vbytes)))
 	}
 	rec.AddCheckpoint(vbytes)
 
-	if durable {
-		ck.durable, ck.st, ck.ops, ck.world = true, durableSt, ops, c.WorldRank()
-		if err := ck.writeDurableShards(ops, part); err != nil {
-			return err
-		}
-	} else {
-		ck.durable = false
-	}
-
 	// (2) Snapshot-mirror ring: ship a deep copy of the snapshot to the
 	// next neighbour and hold the predecessor's, auditing superstep
 	// agreement on the way.  Divergence means the checkpoint schedule
 	// itself broke — abort loudly rather than sort wrong data.  The
 	// message is priced at the snapshot's scaled volume (the struct's
-	// nominal wire size is inflated to vbytes), durable or not: durable
-	// mode ships only the descriptor, but the checkpoint traffic it models
-	// is the same shard.
+	// nominal wire size is inflated to vbytes) whatever the backing: a
+	// spilled snapshot's sorted section stays in the store, but the
+	// checkpoint traffic it models is the same shard.
 	if p > 1 {
 		tag := c.FaultControlTag()
 		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
-		shard := ckptShard[K]{
-			Desc: ckptDesc{Step: int32(step), Elems: ck.elems, Sum: ck.sum},
+		ck.sent = ckptShard[K]{
+			Desc:      pr.Desc,
+			Sorted:    slices.Clone(pr.Sorted),
+			Splitters: slices.Clone(pr.Splitters),
+			Cuts:      slices.Clone(pr.Cuts),
 		}
-		if !durable {
-			shard.Sorted = append([]K(nil), ck.sorted...)
-			shard.Splitters = append([]K(nil), ck.splitters...)
-			shard.Cuts = append([]int(nil), ck.cuts...)
-		}
-		scale := shardByteScale[K](vbytes)
-		comm.SendProtocol(c, next, tag, []ckptShard[K]{shard}, scale)
-		ck.sent, ck.sentValid = shard, !durable
+		comm.SendProtocol(c, next, tag, []ckptShard[K]{ck.sent}, shardByteScale[K](vbytes))
 		got := comm.RecvProtocol[ckptShard[K]](c, prev, tag)
 		if len(got) != 1 || int(got[0].Desc.Step) != step {
 			panic(fmt.Sprintf("core: checkpoint divergence at rank %d: boundary %d but predecessor %d mirrored %+v", c.Rank(), step, prev, got))
@@ -262,61 +257,183 @@ func (ck *checkpoint[K]) boundary(c *comm.Comm, ops keys.Ops[K], cfg Config, ste
 		if model != nil {
 			c.Clock().Advance(model.RespawnCost() + model.RestoreCost(int(vbytes)) + model.ScanCost(velems))
 		}
-		var err error
-		if ck.durable {
-			err = ck.restoreDurable(c, ops, cfg, sorted, part, splitters, cuts)
-		} else {
-			err = ck.restoreFromStableStorage(c, ops, cfg, sorted, splitters, cuts)
-		}
-		if err != nil {
+		if err := ck.restore(c, cfg, int(vbytes), sorted, part, splitters, cuts); err != nil {
 			return err
 		}
 		d := c.Clock().Now() - start
 		rec.AddRecovery(d)
-		rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d (%d elems)", step, ck.elems), d)
+		rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d (%d elems)", step, pr.Desc.Elems), d)
 	}
 	return nil
 }
 
-// restoreFromStableStorage re-installs the snapshot into the live state and
-// audits its checksum.  A corrupt primary falls back to the ring mirror:
-// the successor holds a bit-identical replica of this rank's snapshot, so
-// the restore is re-run from the retained send image, priced as the remote
-// fetch it models.  Only when that replica fails the audit too does the
-// restore give up, with ErrCheckpointCorrupt.
-func (ck *checkpoint[K]) restoreFromStableStorage(c *comm.Comm, ops keys.Ops[K], cfg Config, sorted, splitters *[]K, cuts *[]int) error {
-	restore(sorted, ck.sorted)
-	restore(splitters, ck.splitters)
-	restore(cuts, ck.cuts)
-	if ck.checksum(ops) == ck.sum {
-		return nil
-	}
+// restore re-installs the snapshot into the live state after a crash: the
+// primary copy if it passes its audit, else the replica — priced as the
+// remote fetch of vbytes it models — and ErrCheckpointCorrupt only when
+// both copies fail.  A spilled partition is repointed at the intact run.
+func (ck *checkpoint[K]) restore(c *comm.Comm, cfg Config, vbytes int, sorted *[]K, part *extPartition[K], splitters *[]K, cuts *[]int) error {
 	rec := cfg.Recorder
-	rec.AddFaultSpan("detect", fmt.Sprintf("checkpoint checksum mismatch at step %d", ck.step), 0)
-	if ck.sentValid && shardChecksum(ops, ck.sent) == ck.sum {
-		// The replica at the ring successor is intact: fetch it back.
-		// Its content is by construction the retained send image, so the
-		// simulator restores from that and prices the fetch.
-		if m := c.Model(); m != nil {
-			vbytes := int(float64(shardBytes(ops, ck.sent)) * cfg.scale())
-			c.Clock().Advance(m.RestoreCost(vbytes))
+	step := int(ck.primary.Desc.Step)
+	for _, replica := range []bool{false, true} {
+		s := ck.primary
+		if replica {
+			s = ck.sent
 		}
-		ck.sorted = append(ck.sorted[:0], ck.sent.Sorted...)
-		ck.splitters = append(ck.splitters[:0], ck.sent.Splitters...)
-		ck.cuts = append(ck.cuts[:0], ck.sent.Cuts...)
-		restore(sorted, ck.sorted)
-		restore(splitters, ck.splitters)
-		restore(cuts, ck.cuts)
-		rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d from the ring mirror", ck.step), 0)
+		if sum, err := ck.shardSum(s, ck.world, replica); err != nil || sum != ck.primary.Desc.Sum {
+			rec.AddFaultSpan("detect", fmt.Sprintf("checkpoint copy (replica=%v) failed its audit at step %d", replica, step), 0)
+			continue
+		}
+		if replica {
+			if m := c.Model(); m != nil {
+				c.Clock().Advance(m.RestoreCost(vbytes))
+			}
+			rec.AddFaultSpan("recover", fmt.Sprintf("restored step %d from the replica", step), 0)
+		}
+		install(splitters, s.Splitters)
+		install(cuts, s.Cuts)
+		if part != nil {
+			part.reset(ckptRun(ck.world, step, replica), s.Desc.Elems)
+		} else {
+			install(sorted, s.Sorted)
+		}
 		return nil
 	}
-	return fmt.Errorf("%w: rank %d at step %d (primary and ring mirror both failed the audit)", ErrCheckpointCorrupt, c.Rank(), ck.step)
+	return fmt.Errorf("%w: rank %d at step %d (primary and replica both failed the audit)", ErrCheckpointCorrupt, c.Rank(), step)
 }
 
-// adoptable reports whether this rank holds an intact mirror of commRank's
+// adoptable reports whether this rank holds a mirror of commRank's
 // snapshot on the failed communicator (the predecessor at mirror time).
 func (ck *checkpoint[K]) adoptable(commRank int) bool {
 	return ck != nil && ck.mirrorValid && ck.mirrorFrom == commRank
+}
+
+// adopt returns the dead ring predecessor's pre-exchange partition for the
+// shrink recovery, audited against the mirrored descriptor: the resident
+// mirror itself, or the predecessor's primary then replica run when its
+// partition was spilled.
+func (ck *checkpoint[K]) adopt() ([]K, error) {
+	m := ck.mirror
+	for _, replica := range []bool{false, true} {
+		if replica && ck.st == nil {
+			break // a resident mirror is the only surviving copy
+		}
+		if sum, err := ck.shardSum(m, ck.mirrorWorld, replica); err != nil || sum != m.Desc.Sum {
+			continue
+		}
+		if ck.st == nil {
+			return m.Sorted, nil
+		}
+		part, err := openExtPartition(ck.st, ckptRun(ck.mirrorWorld, int(m.Desc.Step), replica), ck.ops)
+		if err != nil {
+			return nil, err
+		}
+		defer part.Close()
+		return part.materialize(), nil
+	}
+	return nil, fmt.Errorf("%w: world rank %d at step %d (every copy failed the adoption audit)", ErrCheckpointCorrupt, ck.mirrorWorld, m.Desc.Step)
+}
+
+// shardSum is the audit checksum of one copy of world's snapshot: its
+// resident sorted section, or the one streamed from its ckptRun when the
+// partition is spilled.
+func (ck *checkpoint[K]) shardSum(s ckptShard[K], world int, replica bool) (uint64, error) {
+	run := ""
+	if ck.st != nil {
+		run = ckptRun(world, int(s.Desc.Step), replica)
+	}
+	return ck.fold(s, run)
+}
+
+// fold is the checkpoint checksum: FNV-1a over the step, the section
+// lengths, the sorted key images, the splitter images, and the cuts.  The
+// 128-bit embedding gives every key type a stable fixed-width image.  With
+// run set the sorted section streams from that store run, without
+// materializing it; the sequential read also audits the run's own record
+// checksum.
+func (ck *checkpoint[K]) fold(s ckptShard[K], run string) (uint64, error) {
+	elems := int64(len(s.Sorted))
+	var r store.Reader
+	if run != "" {
+		var err error
+		if elems, err = ck.st.Len(run); err != nil {
+			return 0, err
+		}
+		if r, err = ck.st.Open(run); err != nil {
+			return 0, err
+		}
+		defer r.Close()
+	}
+	h := uint64(14695981039346656037)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xff
+			h *= 1099511628211
+		}
+	}
+	image := func(b xmath.U128) { word(b.Hi); word(b.Lo) }
+	word(uint64(s.Desc.Step))
+	word(uint64(elems))
+	word(uint64(len(s.Splitters)))
+	word(uint64(len(s.Cuts)))
+	for _, k := range s.Sorted {
+		image(ck.ops.ToBits(k))
+	}
+	if r != nil {
+		buf := make([]xmath.U128, 4096)
+		for {
+			n, err := r.Read(buf)
+			for _, b := range buf[:n] {
+				image(b)
+			}
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return 0, err
+			}
+		}
+	}
+	for _, k := range s.Splitters {
+		image(ck.ops.ToBits(k))
+	}
+	for _, c := range s.Cuts {
+		word(uint64(int64(c)))
+	}
+	return h, nil
+}
+
+// copyRun streams run src into a fresh sealed run dst.
+func copyRun(st store.Store, src, dst string) error {
+	if src == dst {
+		return nil
+	}
+	r, err := st.Open(src)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	w, err := st.Create(dst)
+	if err != nil {
+		return err
+	}
+	buf := make([]xmath.U128, 4096)
+	for {
+		n, err := r.Read(buf)
+		if n > 0 {
+			if werr := w.Append(buf[:n]); werr != nil {
+				w.Close()
+				return werr
+			}
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			w.Close()
+			return err
+		}
+	}
+	return w.Close()
 }
 
 // shardByteScale inflates a one-element ckptShard message to the snapshot's
@@ -334,6 +451,13 @@ func shardByteScale[K any](vbytes int64) float64 {
 	return s
 }
 
+// bytes is the snapshot's stored volume: the key images plus the cut
+// offsets, whatever the sorted section's backing.
+func (ck *checkpoint[K]) bytes(ops keys.Ops[K]) int {
+	pr := &ck.primary
+	return (int(pr.Desc.Elems)+len(pr.Splitters))*ops.Bytes() + len(pr.Cuts)*8
+}
+
 // snapshot copies *src into dst's storage (reused across boundaries).
 func snapshot[T any](dst []T, src *[]T) []T {
 	if src == nil {
@@ -349,41 +473,9 @@ func wipe[T any](s *[]T) {
 	}
 }
 
-// restore re-installs a snapshot into the live state.
-func restore[T any](dst *[]T, src []T) {
+// install re-installs a snapshot copy into the live state.
+func install[T any](dst *[]T, src []T) {
 	if dst != nil {
 		*dst = append([]T(nil), src...)
 	}
-}
-
-// bytes is the snapshot's stored volume: the key images plus the cut
-// offsets.  ck.elems covers both backings (resident slice or sealed run).
-func (ck *checkpoint[K]) bytes(ops keys.Ops[K]) int {
-	return (int(ck.elems)+len(ck.splitters))*ops.Bytes() + len(ck.cuts)*8
-}
-
-// shardBytes is bytes for a mirrored shard.
-func shardBytes[K any](ops keys.Ops[K], s ckptShard[K]) int {
-	return (len(s.Sorted)+len(s.Splitters))*ops.Bytes() + len(s.Cuts)*8
-}
-
-// checksum folds the snapshot's key images and cuts through FNV-1a; the
-// 128-bit embedding gives every key type a stable fixed-width image.
-func (ck *checkpoint[K]) checksum(ops keys.Ops[K]) uint64 {
-	return foldChecksum(ops, ck.step, ck.sorted, ck.splitters, ck.cuts)
-}
-
-// shardChecksum is checksum over a mirrored shard.
-func shardChecksum[K any](ops keys.Ops[K], s ckptShard[K]) uint64 {
-	return foldChecksum(ops, int(s.Desc.Step), s.Sorted, s.Splitters, s.Cuts)
-}
-
-func foldChecksum[K any](ops keys.Ops[K], step int, sorted, splitters []K, cuts []int) uint64 {
-	f := newFold()
-	f.header(step, int64(len(sorted)), len(splitters), len(cuts))
-	for _, k := range sorted {
-		f.image(ops.ToBits(k))
-	}
-	f.trailer(imagesOf(ops, splitters), cuts)
-	return f.h
 }

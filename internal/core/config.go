@@ -220,19 +220,20 @@ type Config struct {
 	// (pairs, strings) stay resident regardless.
 	MemBudget int64
 
-	// SpillDir roots a filesystem store for the spill runs (and, when set,
-	// durable checkpoint shards).  Empty with a nil Store means spills go
-	// to a run-private in-memory store — budget-bounded execution without a
-	// scratch directory, and no durable checkpoints.
+	// SpillDir roots a filesystem store for the spill runs, including the
+	// checkpoint runs of a spilled partition.  Empty with a nil Store means
+	// spills go to a run-private in-memory store — budget-bounded execution
+	// without a scratch directory.  Without a MemBudget it has no effect: a
+	// resident partition checkpoints as ring-mirrored deep copies.
 	SpillDir string
 
 	// SpillFanIn is the k of the external k-way merge: how many runs merge
 	// simultaneously per pass.  0 means store.DefaultFanIn.
 	SpillFanIn int
 
-	// Store overrides the spill/checkpoint store directly (it wins over
-	// SpillDir).  Sharing one Store across ranks is what makes checkpoint
-	// shards durable: any survivor can read a victim's shard back.
+	// Store overrides the spill store directly (it wins over SpillDir).
+	// Sharing one Store across ranks is what lets shrink recovery adopt a
+	// spilled victim's checkpoint runs: any survivor can read them back.
 	Store store.Store
 
 	// SplitterSink, when non-nil, receives the converged splitter bit
@@ -300,10 +301,10 @@ func (cfg Config) fanIn() int {
 	return cfg.SpillFanIn
 }
 
-// durableStore returns the shared store durable checkpoints (and shared
-// spill runs) live in, or nil when the configuration names none — a
-// run-private memory store is then used for spills, and checkpoints keep
-// the legacy ring-mirror deep copies.
+// durableStore returns the shared store spilled partitions and their
+// checkpoint runs live in, or nil when the configuration names none — a
+// run-private memory store is then used for spills.  Only the spill plan
+// reads it; a resident partition never touches a store.
 func (cfg Config) durableStore() store.Store {
 	if cfg.Store != nil {
 		return cfg.Store
@@ -355,7 +356,7 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("core: SpillFanIn must be 0 (default) or at least 2, got %d", cfg.SpillFanIn)
 	}
 	if cfg.MemBudget > 0 && cfg.Recovery == RecoveryShrink && cfg.durableStore() == nil {
-		return fmt.Errorf("core: MemBudget with shrink recovery needs a shared store (Store or SpillDir) so survivors can adopt durable shards")
+		return fmt.Errorf("core: MemBudget with shrink recovery needs a shared store (Store or SpillDir) so survivors can adopt spilled checkpoint runs")
 	}
 	switch cfg.Kernel {
 	case "", KernelRadix, KernelTaskMerge, KernelIntrosort:

@@ -195,13 +195,14 @@ func TestHierarchicalFallbackUnderDelay(t *testing.T) {
 // TestCheckpointChecksumDetectsCorruption pins the restore audit: a snapshot
 // whose checksum no longer matches must abort loudly, not sort wrong data.
 func TestCheckpointChecksumDetectsCorruption(t *testing.T) {
-	ck := &checkpoint[uint64]{}
-	sorted := []uint64{3, 1, 4, 1, 5}
-	ck.step = StepLocalSort
-	ck.sorted = append(ck.sorted[:0], sorted...)
-	ck.sum = ck.checksum(u64)
-	ck.sorted[2] ^= 1 // bit flip in "stable storage"
-	if ck.checksum(u64) == ck.sum {
+	ck := &checkpoint[uint64]{ops: u64}
+	s := ckptShard[uint64]{Desc: ckptDesc{Step: StepLocalSort}, Sorted: []uint64{3, 1, 4, 1, 5}}
+	want, err := ck.shardSum(s, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Sorted[2] ^= 1 // bit flip in "stable storage"
+	if got, _ := ck.shardSum(s, 0, false); got == want {
 		t.Fatal("checksum did not notice a corrupted snapshot")
 	}
 }

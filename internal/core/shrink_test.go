@@ -272,8 +272,8 @@ func TestSortDoubleCrashAdjacent(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptFallsBackToMirror pins satellite (a): a snapshot that
-// fails its checksum audit is transparently re-restored from the ring
+// TestCheckpointCorruptFallsBackToMirror pins the restore audit: a snapshot
+// that fails its checksum audit is transparently re-restored from the ring
 // mirror's retained send image; only when that replica is rotten too does
 // the restore fail, with the typed ErrCheckpointCorrupt.
 func TestCheckpointCorruptFallsBackToMirror(t *testing.T) {
@@ -283,23 +283,23 @@ func TestCheckpointCorruptFallsBackToMirror(t *testing.T) {
 	}
 	err = w.Run(func(c *comm.Comm) error {
 		mk := func() *checkpoint[uint64] {
-			ck := &checkpoint[uint64]{step: StepLocalSort}
-			ck.sorted = []uint64{1, 1, 2, 3, 5, 8}
-			ck.sum = ck.checksum(u64)
-			ck.sent = ckptShard[uint64]{
-				Desc:   ckptDesc{Step: StepLocalSort, Elems: 6, Sum: ck.sum},
-				Sorted: append([]uint64(nil), ck.sorted...),
+			ck := &checkpoint[uint64]{ops: u64}
+			ck.primary = ckptShard[uint64]{Desc: ckptDesc{Step: StepLocalSort, Elems: 6}, Sorted: []uint64{1, 1, 2, 3, 5, 8}}
+			sum, err := ck.shardSum(ck.primary, 0, false)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ck.sentValid = true
+			ck.primary.Desc.Sum = sum
+			ck.sent = ckptShard[uint64]{Desc: ck.primary.Desc, Sorted: append([]uint64(nil), ck.primary.Sorted...)}
 			return ck
 		}
 
 		// Corrupt primary, intact mirror: the restore must fall back and
 		// deliver the original data.
 		ck := mk()
-		ck.sorted[2] ^= 1
+		ck.primary.Sorted[2] ^= 1
 		var sorted []uint64
-		if err := ck.restoreFromStableStorage(c, u64, Config{}, &sorted, nil, nil); err != nil {
+		if err := ck.restore(c, Config{}, 0, &sorted, nil, nil, nil); err != nil {
 			t.Fatalf("mirror fallback failed: %v", err)
 		}
 		if !reflect.DeepEqual(sorted, []uint64{1, 1, 2, 3, 5, 8}) {
@@ -308,15 +308,46 @@ func TestCheckpointCorruptFallsBackToMirror(t *testing.T) {
 
 		// Both replicas corrupt: typed error, no silent wrong data.
 		ck = mk()
-		ck.sorted[2] ^= 1
+		ck.primary.Sorted[2] ^= 1
 		ck.sent.Sorted[4] ^= 1
-		if err := ck.restoreFromStableStorage(c, u64, Config{}, &sorted, nil, nil); !errors.Is(err, ErrCheckpointCorrupt) {
+		if err := ck.restore(c, Config{}, 0, &sorted, nil, nil, nil); !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("double corruption must surface ErrCheckpointCorrupt, got: %v", err)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdoptAuditsResidentMirror pins the adoption audit on the resident
+// path: an intact mirror is adopted as is, and a mirror that no longer
+// matches its descriptor's checksum fails with ErrCheckpointCorrupt rather
+// than feeding wrong data into the redo epoch.
+func TestAdoptAuditsResidentMirror(t *testing.T) {
+	ck := &checkpoint[uint64]{ops: u64, mirrorValid: true, mirrorWorld: 2}
+	ck.mirror = ckptShard[uint64]{
+		Desc:      ckptDesc{Step: StepSplitting, Elems: 4},
+		Sorted:    []uint64{2, 7, 7, 9},
+		Splitters: []uint64{5},
+		Cuts:      []int{0, 2, 4},
+	}
+	sum, err := ck.shardSum(ck.mirror, ck.mirrorWorld, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.mirror.Desc.Sum = sum
+	got, err := ck.adopt()
+	if err != nil {
+		t.Fatalf("intact mirror: %v", err)
+	}
+	if !reflect.DeepEqual(got, []uint64{2, 7, 7, 9}) {
+		t.Fatalf("adopted %v", got)
+	}
+
+	ck.mirror.Sorted[1] ^= 1 << 40
+	if _, err := ck.adopt(); !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("corrupt mirror: want ErrCheckpointCorrupt, got %v", err)
 	}
 }
 

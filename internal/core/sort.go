@@ -242,7 +242,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	}
 	var splitters []K
 	var cuts []int
-	if err := ck.boundary(c, ops, cfg, StepLocalSort, &sorted, part, plan, &splitters, &cuts); err != nil {
+	if err := ck.boundary(c, ops, cfg, StepLocalSort, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
@@ -251,7 +251,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	targets, tol := splitTargets(c, len(local), cfg.Epsilon)
 	rec.Enter(metrics.Histogram)
 	splitters, _ = findSplittersOn(c, source(), ops, targets, tol, cfg)
-	if err := ck.boundary(c, ops, cfg, StepSplitting, &sorted, part, plan, &splitters, &cuts); err != nil {
+	if err := ck.boundary(c, ops, cfg, StepSplitting, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 
@@ -259,7 +259,7 @@ func sortSteps[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config, ck *
 	// fused 1-factor rounds into spilled receive runs).
 	rec.Enter(metrics.Other)
 	cuts = computeCutsOn(c, source(), ops, splitters, targets, cfg)
-	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, plan, &splitters, &cuts); err != nil {
+	if err := ck.boundary(c, ops, cfg, StepCuts, &sorted, part, &splitters, &cuts); err != nil {
 		return nil, err
 	}
 	rec.Enter(metrics.Exchange)

@@ -36,7 +36,6 @@ func spillActive[K any](cfg Config, ops keys.Ops[K]) bool {
 // spillPlan carries one rank's external-memory execution parameters.
 type spillPlan[K any] struct {
 	st     store.Store
-	shared bool // st is visible to the other ranks (durable checkpoints)
 	prefix string
 	chunk  int // records per budget-sized resident chunk
 	fanIn  int
@@ -47,7 +46,6 @@ type spillPlan[K any] struct {
 // in-memory store (budget-bounded execution without a scratch directory).
 func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K] {
 	st := cfg.durableStore()
-	shared := st != nil
 	if st == nil {
 		st = store.NewMem()
 	}
@@ -57,7 +55,6 @@ func newSpillPlan[K any](c *comm.Comm, ops keys.Ops[K], cfg Config) *spillPlan[K
 	}
 	return &spillPlan[K]{
 		st:     st,
-		shared: shared,
 		prefix: fmt.Sprintf("spill/w%d", c.WorldRank()),
 		chunk:  chunk,
 		fanIn:  cfg.fanIn(),

