@@ -331,52 +331,77 @@ func runSortErr(t *testing.T, p int, spec workload.Spec, perRank int, cfg Config
 	return ins, outs, err
 }
 
-// TestSpilledCheckpointCorruption drives the crash-restore audit through
-// every outcome on the external-memory path, where each snapshot copy's
-// sorted section is a copy of the partition run: a truncated or bit-flipped
-// primary falls back to the replica and restore repoints the partition at
-// it, and with both copies corrupt the sort surfaces ErrCheckpointCorrupt —
-// never a panic or a mis-sort.
-func TestSpilledCheckpointCorruption(t *testing.T) {
+// TestDurableCheckpointCorruption drives the crash-restore audit of the
+// durable checkpoint through every outcome. Durable checkpoints are the
+// spilled path's: each snapshot copy's sorted section is a store run copied
+// from the partition run. A truncated primary falls back to the replica, a
+// bit-flipped primary falls back to the replica, and with both copies
+// corrupt the sort surfaces ErrCheckpointCorrupt — never a panic or a
+// mis-sort.
+func TestDurableCheckpointCorruption(t *testing.T) {
 	const p, perRank = 8, 1024
 	model := simnet.SuperMUC(4, true)
-	spec := workload.Spec{Dist: workload.Uniform, Seed: 5, Span: 1e9}
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 3, Span: 1e9}
+	plan := fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 2, Step: StepSplitting}}}
 	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, model)
 
-	for _, tc := range []struct {
-		name    string
-		crash   fault.Crash
-		targets map[string]string
-		wantErr bool
-	}{
-		{"truncated primary", fault.Crash{Rank: 3, Step: StepLocalSort},
-			map[string]string{ckptRun(3, StepLocalSort, false): "truncate"}, false},
-		{"bit-flipped primary", fault.Crash{Rank: 2, Step: StepSplitting},
-			map[string]string{ckptRun(2, StepSplitting, false): "bitflip"}, false},
-		{"both copies corrupt", fault.Crash{Rank: 2, Step: StepSplitting},
-			map[string]string{ckptRun(2, StepSplitting, false): "truncate", ckptRun(2, StepSplitting, true): "bitflip"}, true},
-	} {
+	prim := ckptRun(2, StepSplitting, false)
+	repl := ckptRun(2, StepSplitting, true)
+	spilled := func(targets map[string]string) Config {
 		dir := t.TempDir()
-		cfg := Config{
+		return Config{
 			Threads:   1,
 			MemBudget: spillBudget(perRank),
-			Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: tc.targets},
+			Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: targets},
 		}
-		plan := fault.Plan{Seed: 9, Crashes: []fault.Crash{tc.crash}}
-		ins, got, err := runSortErr(t, p, spec, perRank, cfg, model, plan)
-		if tc.wantErr {
-			if !errors.Is(err, ErrCheckpointCorrupt) {
-				t.Fatalf("%s: want ErrCheckpointCorrupt, got %v", tc.name, err)
-			}
-			continue
-		}
+	}
+	for _, tc := range []struct {
+		name    string
+		targets map[string]string
+	}{
+		{"truncated primary", map[string]string{prim: "truncate"}},
+		{"bit-flipped primary", map[string]string{prim: "bitflip"}},
+	} {
+		ins, got, err := runSortErr(t, p, spec, perRank, spilled(tc.targets), model, plan)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		checkSorted(t, ins, got, true, 0)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: replica-restored output differs from the in-memory fault-free run", tc.name)
+			t.Fatalf("%s: replica-restored output differs from the fault-free run", tc.name)
 		}
+	}
+
+	_, _, err := runSortErr(t, p, spec, perRank, spilled(map[string]string{prim: "truncate", repl: "bitflip"}), model, plan)
+	if !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("both copies corrupt: want ErrCheckpointCorrupt, got %v", err)
+	}
+}
+
+// TestSpilledCheckpointCorruption is the same audit at the Local Sort
+// boundary, where the primary shard is a copy of the partition run and
+// restore repoints the partition at the surviving copy.
+func TestSpilledCheckpointCorruption(t *testing.T) {
+	const p, perRank = 8, 1024
+	model := simnet.SuperMUC(4, true)
+	spec := workload.Spec{Dist: workload.Uniform, Seed: 5, Span: 1e9}
+	plan := fault.Plan{Seed: 9, Crashes: []fault.Crash{{Rank: 3, Step: StepLocalSort}}}
+	_, want := runSort(t, p, spec, perRank, Config{Threads: 1}, model)
+
+	dir := t.TempDir()
+	cfg := Config{
+		Threads:   1,
+		MemBudget: spillBudget(perRank),
+		Store:     corruptStore{Store: store.NewFS(dir), dir: dir, targets: map[string]string{ckptRun(3, StepLocalSort, false): "truncate"}},
+		SpillDir:  dir,
+	}
+	ins, got, err := runSortErr(t, p, spec, perRank, cfg, model, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSorted(t, ins, got, true, 0)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("spilled replica-restored output differs from the in-memory fault-free run")
 	}
 }
 
